@@ -41,6 +41,7 @@ from .spectral import (
     abel_regularized_inverse,
     forward_ft,
     inverse_ft,
+    lattice_sum,
     phase_sum,
     project_spectrum,
     sample_spectrum,
@@ -102,6 +103,7 @@ __all__ = [
     "abel_regularized_inverse",
     "forward_ft",
     "inverse_ft",
+    "lattice_sum",
     "phase_sum",
     "project_spectrum",
     "sample_spectrum",

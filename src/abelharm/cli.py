@@ -1013,14 +1013,16 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     runp = sub.add_parser("run", help="execute a check suite")
-    runp.add_argument("--suite", default="all", choices=("all",) + SUITES)
+    runp.add_argument("--suite", default=None, choices=("all",) + SUITES,
+                      help="suite to run (overrides config; default all)")
     runp.add_argument("--config", default=None, help="JSON config file")
     runp.add_argument("--out", default=None,
                       help="output directory (overrides config and ABELHARM_OUT)")
     args = parser.parse_args(argv)
 
     try:
-        overrides = {"suite": args.suite}
+        # precedence: flag > config file > default, for every key
+        overrides = {"suite": args.suite} if args.suite else {}
         out_dir = args.out or os.environ.get("ABELHARM_OUT")
         if out_dir:
             overrides["output_dir"] = out_dir

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Spectrum
+from .spectral import Spectrum, lattice_sum
 
 __all__ = [
     "GrowthReport",
@@ -47,36 +47,16 @@ class GrowthReport:
     sigma_estimate: float
 
 
-def _interval_weights(F: Spectrum):
-    if F.support.kind != "interval":
-        raise ValueError("entire evaluation requires a bounded interval support")
-    xi = F.grid.axis()
-    keep = F.support.contains(xi)
-    return xi[keep], F.values[keep]
-
-
 def evaluate_entire(F: Spectrum, z):
     """Entire extension of an interval-supported spectrum.
 
     spacing * sum_{a <= xi <= b} F(xi) exp(2 pi i z xi), defined for every
-    complex z: the bounded support caps the exponential factor on any
-    horizontal strip.  ``z`` may be scalar or an array.
+    finite complex z: the bounded support caps the exponential factor on
+    any horizontal strip.  ``z`` may be scalar or an array.
     """
-    xi, w = _interval_weights(F)
-    scalar = np.shape(z) == ()
-    zs = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
-    out = np.empty(zs.shape, dtype=complex)
-    # chunked outer-product evaluation: interval supports are short, so a
-    # block of rows at a time is cheap and keeps the reduction order fixed
-    block = 512
-    for lo in range(0, zs.size, block):
-        zb = zs[lo : lo + block]
-        E = np.exp((2j * math.pi) * zb[:, None] * xi[None, :])
-        out[lo : lo + block] = E @ w
-    out *= F.grid.spacing
-    if scalar:
-        return complex(out[0])
-    return out.reshape(np.shape(z))
+    if F.support.kind != "interval":
+        raise ValueError("entire evaluation requires a bounded interval support")
+    return lattice_sum(F, z, F.support.a, F.support.b)
 
 
 def envelope_bound(F: Spectrum, y: float) -> float:

@@ -23,7 +23,7 @@ from .spectral import (
     Spectrum,
     SupportSpec,
     forward_ft,
-    phase_sum,
+    lattice_sum,
     project_spectrum,
 )
 
@@ -91,12 +91,6 @@ class HalfPlaneField:
         object.__setattr__(self, "values", vals)
 
 
-def _as_complex(z) -> complex:
-    if isinstance(z, HalfPlanePoint):
-        return complex(z)
-    return complex(z)
-
-
 def hardy_split(f: SampledFunction):
     """Split f by spectral support into its two half-plane parts.
 
@@ -113,38 +107,43 @@ def hardy_split(f: SampledFunction):
     return plus, minus
 
 
-def _require_side(F: Spectrum) -> str:
+def _require_side(F: Spectrum, side: str | None = None) -> str:
+    """The half-plane F extends to, or a check that it extends to ``side``.
+
+    A one-sided interval touching 0 at both ends (a point spectrum at the
+    origin) extends to both; asked for no side, it reports the upper one.
+    """
     kind = F.support.kind
-    if kind == "nonneg_halfline":
-        return "upper"
-    if kind == "nonpos_halfline":
-        return "lower"
-    if kind == "interval":
-        if F.support.a >= 0:
-            return "upper"
-        if F.support.b <= 0:
-            return "lower"
-    raise ValueError("spectrum is not one-sided; split it first")
+    upper = kind == "nonneg_halfline" or (kind == "interval" and F.support.a >= 0)
+    lower = kind == "nonpos_halfline" or (kind == "interval" and F.support.b <= 0)
+    if side is None:
+        if upper or lower:
+            return "upper" if upper else "lower"
+        raise ValueError("spectrum is not one-sided; split it first")
+    if not (upper if side == "upper" else lower):
+        where = "[0, inf)" if side == "upper" else "(-inf, 0]"
+        raise ValueError(f"{side} evaluation requires spectral support in {where}")
+    return side
 
 
 def _evaluate_side(F: Spectrum, z, side: str):
-    xi = F.grid.axis()
+    _require_side(F, side)
+    if isinstance(z, HalfPlanePoint):
+        z = complex(z)
+    zs = np.asarray(z, dtype=complex)
     if side == "upper":
-        keep = xi >= 0.0
-        sign_ok = lambda y: y >= 0.0
+        wrong = zs.imag < 0.0
         label = "upper half-plane (Im z >= 0)"
     else:
-        keep = xi <= 0.0
-        sign_ok = lambda y: y <= 0.0
+        wrong = zs.imag > 0.0
         label = "lower half-plane (Im z <= 0)"
-    scalar = np.shape(z) == () and not isinstance(z, (list, tuple))
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    if not all(sign_ok(zz.imag) for zz in zs):
+    if np.any(wrong):
         # The integrand exp(2 pi i z xi) grows without bound on the wrong
         # side, so this is a domain error rather than a value to report.
         raise ValueError(f"evaluation point must lie in the {label}")
-    out = phase_sum(xi[keep], F.values[keep], zs, F.grid.spacing)
-    return complex(out[0]) if scalar else out
+    if side == "upper":
+        return lattice_sum(F, zs, lo=0.0)
+    return lattice_sum(F, zs, hi=0.0)
 
 
 def evaluate_upper(F: Spectrum, z):
@@ -157,44 +156,27 @@ def evaluate_upper(F: Spectrum, z):
     ties the half-plane extension to the summability machinery.
 
     ``z`` may be a HalfPlanePoint, a complex scalar, or an array of
-    complex values; points below the axis raise.
+    complex values; points below the axis and non-finite points raise.
     """
-    _require_upper_support(F)
-    if isinstance(z, HalfPlanePoint):
-        return _evaluate_side(F, complex(z), "upper")
     return _evaluate_side(F, z, "upper")
 
 
 def evaluate_lower(F: Spectrum, z):
     """Mirror of :func:`evaluate_upper` for spectra supported in (-inf, 0]."""
-    _require_lower_support(F)
-    if isinstance(z, HalfPlanePoint):
-        return _evaluate_side(F, complex(z), "lower")
     return _evaluate_side(F, z, "lower")
 
 
-def _require_upper_support(F: Spectrum):
-    kind = F.support.kind
-    if kind == "nonneg_halfline" or (kind == "interval" and F.support.a >= 0):
-        return
-    raise ValueError("upper evaluation requires spectral support in [0, inf)")
-
-
-def _require_lower_support(F: Spectrum):
-    kind = F.support.kind
-    if kind == "nonpos_halfline" or (kind == "interval" and F.support.b <= 0):
-        return
-    raise ValueError("lower evaluation requires spectral support in (-inf, 0]")
-
-
 def evaluate_field(F: Spectrum, x_values, y_values) -> HalfPlaneField:
-    """Evaluate a one-sided spectrum on a rectangle of half-plane points."""
+    """Evaluate a one-sided spectrum on a rectangle of half-plane points.
+
+    The whole rectangle goes to the kernel in one call.
+    """
     side = _require_side(F)
     xs = np.asarray(x_values, dtype=float)
     ys = np.asarray(y_values, dtype=float)
-    evaluate = evaluate_upper if side == "upper" else evaluate_lower
-    rows = [evaluate(F, xs + 1j * y) for y in ys]
-    return HalfPlaneField(xs, ys, np.vstack(rows), side)
+    z = np.empty((ys.size, xs.size), dtype=complex)
+    z.real, z.imag = xs, ys[:, None]
+    return HalfPlaneField(xs, ys, _evaluate_side(F, z, side), side)
 
 
 def cauchy_kernel(side: str, t: float, x):
@@ -261,12 +243,14 @@ def cr_residual(F: Spectrum, z, h: float, evaluator=None) -> float:
     ``evaluator`` substitutes a different field map z -> value (same
     domain); by default the side-appropriate spectral evaluation is used.
     The stencil must fit inside the half-plane: the distance from z to the
-    axis must exceed 2h.
+    axis must exceed 2h, and z must be finite.
     """
     if not h > 0:
         raise ValueError(f"step must be positive, got {h}")
     side = _require_side(F)
-    zc = _as_complex(z)
+    zc = complex(z)
+    if not np.isfinite(zc):
+        raise ValueError("evaluation point must be finite")
     margin = zc.imag if side == "upper" else -zc.imag
     if not margin > 2.0 * h:
         raise ValueError(

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from abelharm import (
     KernelSpec,
@@ -21,6 +22,11 @@ from abelharm import (
     sample_kernel,
     sample_spectrum,
 )
+
+# property tests draw the same examples on every run, like the package's
+# own computations; some examples build lattices, so no per-example deadline
+settings.register_profile("abelharm", derandomize=True, deadline=None)
+settings.load_profile("abelharm")
 
 
 @pytest.fixture(scope="session")

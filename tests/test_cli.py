@@ -143,3 +143,24 @@ def test_summary_states_timing_location(tmp_path):
     bundle = run(cfg)
     for rel, (header, rows) in bundle.tables.items():
         assert "seconds" not in header and "time" not in header
+
+
+def test_config_file_suite_is_not_overridden_by_flag_default(tmp_path):
+    # precedence is flag > config > default: a config naming one suite runs
+    # that suite when no --suite flag is given
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"suite": "growth"}))
+    out = tmp_path / "rep"
+    assert main(["run", "--config", str(conf), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["suite"] == "growth"
+    assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["growth"]
+
+
+def test_suite_flag_beats_config_file(tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"suite": "kernels"}))
+    out = tmp_path / "rep"
+    assert main(["run", "--suite", "growth", "--config", str(conf), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["suite"] == "growth"

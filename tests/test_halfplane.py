@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from abelharm import (
     HalfPlanePoint,
+    SampledFunction,
     SupportSpec,
     cauchy_kernel,
     cauchy_represent,
@@ -12,6 +14,7 @@ from abelharm import (
     evaluate_field,
     evaluate_lower,
     evaluate_upper,
+    forward_ft,
     hardy_split,
     inverse_ft,
     make_grid,
@@ -148,3 +151,20 @@ def test_cr_residual_flags_conjugate(small_upper_spectrum):
 def test_cr_residual_needs_margin(small_upper_spectrum):
     with pytest.raises(ValueError):
         cr_residual(small_upper_spectrum, 0.001j, 1e-3)
+
+
+@given(
+    half_points=st.integers(2, 256),
+    half_width=st.floats(0.5, 50.0),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_split_reassembles_random_samples(half_points, half_width, seed):
+    # the split partitions the lattice spectrum exactly, so the two halves
+    # reassemble any samples up to round-trip rounding
+    rng = np.random.default_rng(seed)
+    g = make_grid(1, half_width, 2 * half_points)
+    f = SampledFunction(g, rng.standard_normal(g.points) + 1j * rng.standard_normal(g.points))
+    plus, minus = hardy_split(f)
+    assert np.all(plus.values + minus.values == forward_ft(f).values)
+    recon = inverse_ft(plus).values + inverse_ft(minus).values
+    assert np.max(np.abs(recon - f.values)) <= 1e-12 * np.max(np.abs(f.values))

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from abelharm import (
+    SampledFunction,
     Spectrum,
     SupportSpec,
     abel_regularized_inverse,
@@ -165,3 +167,19 @@ def test_damped_inverse_requires_positive_scale():
     F = sample_spectrum(g, lambda xi: np.exp(-xi * xi), SupportSpec.full_line())
     with pytest.raises(ValueError):
         abel_regularized_inverse(F, 0.0, 0.0)
+
+
+@given(
+    half_points=st.integers(2, 256),
+    half_width=st.floats(0.5, 50.0),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_round_trip_is_identity_on_random_grids(half_points, half_width, seed):
+    # the two lattice transforms are inverse linear maps, whatever the samples
+    rng = np.random.default_rng(seed)
+    g = make_grid(1, half_width, 2 * half_points)
+    f = SampledFunction(g, rng.standard_normal(g.points) + 1j * rng.standard_normal(g.points))
+    back = inverse_ft(forward_ft(f))
+    assert back.grid.points == g.points
+    assert back.grid.half_width == pytest.approx(g.half_width, rel=1e-15)
+    assert np.max(np.abs(back.values - f.values)) <= 1e-12 * np.max(np.abs(f.values))
