@@ -19,7 +19,6 @@ from .sampled import (
     make_grid,
     radial_integrate,
     sample_function,
-    truncation_estimate,
 )
 from .kernels import (
     KernelSpec,
@@ -58,7 +57,6 @@ from .summability import (
 )
 from .halfplane import (
     HalfPlaneField,
-    HalfPlanePoint,
     cauchy_kernel,
     cauchy_represent,
     cr_residual,
@@ -85,7 +83,6 @@ __all__ = [
     "make_grid",
     "radial_integrate",
     "sample_function",
-    "truncation_estimate",
     "KernelSpec",
     "QuadratureBudgetError",
     "abel_from_gaussians",
@@ -116,7 +113,6 @@ __all__ = [
     "gauss_mean_radial",
     "summability_verdict",
     "HalfPlaneField",
-    "HalfPlanePoint",
     "cauchy_kernel",
     "cauchy_represent",
     "cr_residual",

@@ -8,6 +8,13 @@ shortest round-trip decimals and every reduction runs in a fixed order, so
 re-running a suite with the same configuration reproduces the tables byte
 for byte.  Timings live only in the manifest, never in the tables.
 
+The suites build checks only.  Each ``[acceptance]`` line of the summary is
+derived from its member checks, the checks whose names start with the
+criterion's slug or one of its prefixes in :data:`CRITERIA`: it fails if
+any member failed, is an expected failure if any member is one, passes
+otherwise, and is "not-run" when no member ran.  Its measured value is the
+worst member gated at the criterion's tolerance.
+
 Exit status: 0 when every check passes, 1 when any check fails, 2 on a
 configuration error.  A check whose failure is fully explained by a
 documented discretization floor is reported as "expected-fail" and does
@@ -78,23 +85,44 @@ __all__ = [
 
 SUITES = ("kernels", "summability", "inversion", "hardy", "growth")
 
-# The named tolerance gates reported in every summary, in fixed order.
+# The acceptance criteria reported in every summary, in fixed order.  Each
+# row is (index, slug, member-name prefixes besides the slug, tolerance,
+# detail).  A callable detail receives the members by name and the run's
+# facts: the configuration, plus the determinism flags of a full run.
 CRITERIA = (
-    (1, "poisson_normalization"),
-    (2, "abel_transform_identity"),
-    (3, "half_line_transforms"),
-    (4, "gaussian_subordination"),
-    (5, "poisson_semigroup"),
-    (6, "abel_summation_of_integrable"),
-    (7, "regularized_inverse_matches_convolution"),
-    (8, "hardy_split_partition"),
-    (9, "half_plane_representations_agree"),
-    (10, "boundary_continuity"),
-    (11, "cauchy_riemann_residual"),
-    (12, "growth_bound_conclusion"),
-    (13, "envelope_dominates"),
-    (14, "type_estimation"),
-    (15, "determinism"),
+    (1, "poisson_normalization", (), 1e-6, "n in {1,2,3}, t in {0.1,1,10}, radial quadrature"),
+    (2, "abel_transform_identity", ("transform_identity_pinned_grid",), 1e-6,
+     lambda m, facts: f"grid R={facts['half_width']:g} N={facts['points']}; "
+                      f"{m['transform_identity_pinned_grid'].detail}"),
+    (3, "half_line_transforms", ("half_line_",), 1e-4,
+     lambda m, facts: "lattice vs closed form on |xi| <= 4; identities at "
+                      f"{_g(_worst(m, 1e-12))}"),
+    (4, "gaussian_subordination", (), 1e-8, "201 points in [-3,3], t in {0.5,1,2}"),
+    (5, "poisson_semigroup", (), 1e-4, "grid R=200 N=2^16, zero-padded transform convolution"),
+    (6, "abel_summation_of_integrable", ("abel_limit", "abel_gauss_agreement"), 1e-3,
+     lambda m, facts: "worst limit error; worst family disagreement "
+                      f"{_g(_worst(m, 2e-3))} vs 0.002"),
+    (7, "regularized_inverse_matches_convolution", ("regularized_matches_convolution",), 1e-5,
+     "damped inverse vs Poisson convolution, two independent quadratures"),
+    (8, "hardy_split_partition", ("hardy_partition",), 1e-8,
+     "reassembly after the exact spectral partition; round-trip error only"),
+    (9, "half_plane_representations_agree", ("representation_agreement",), 1e-5,
+     "25 points in [-2,2] per t in {0.25,0.5,1}, three witnesses"),
+    (10, "boundary_continuity", (), 1e-2, "final sup at t=0.025; monotone approach required"),
+    (11, "cauchy_riemann_residual", ("cr_residual",), 1e-5,
+     lambda m, facts: f"step scaling {_g(m['cr_residual_step_scaling'].measured)}x, "
+                      "conjugate witness residual "
+                      f"{_g(m['cr_residual_detects_antiholomorphic'].measured)}"),
+    (12, "growth_bound_conclusion", ("growth_bound", "spot_"), 1e-4,
+     lambda m, facts: "bound holds at the type, fails at half (violation "
+                      f"{_g(m['growth_bound_rejects_half_type'].measured)}); "
+                      "spot values within the gate"),
+    (13, "envelope_dominates", (), 1e-8, "all spectra, 21 x 13 lattice on |x|<=5, |y|<=3"),
+    (14, "type_estimation", ("type_estimate",), 0.3, "imaginary-axis fit with heights {2,3,4,5}"),
+    (15, "determinism", ("deterministic_reports",), None,
+     lambda m, facts: "re-serialization byte-identical: "
+                      f"{str(facts['stable']).lower()}; wall time within budget: "
+                      f"{str(facts['fast_enough']).lower()}"),
 )
 
 
@@ -126,20 +154,24 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.suite not in SUITES + ("all",):
             raise ConfigError(f"unknown suite {self.suite!r}; choose from {('all',) + SUITES}")
-        if not self.half_width > 0:
-            raise ConfigError("half_width must be positive")
+        for name in ("points", "schedule_steps"):
+            if type(getattr(self, name)) is not int:
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("half_width", "schedule_start", "schedule_ratio", "convergence_tol"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value) or not value > 0):
+                raise ConfigError(f"{name} must be a finite positive number, got {value!r}")
         if self.points < 4 or self.points % 2:
             raise ConfigError("points must be even and >= 4")
-        if not self.schedule_start > 0:
-            raise ConfigError("schedule_start must be positive")
-        if not 0 < self.schedule_ratio < 1:
+        if not self.schedule_ratio < 1:
             raise ConfigError("schedule_ratio must lie in (0, 1)")
         if self.schedule_steps < 4:
             raise ConfigError("schedule_steps must be at least 4")
-        if not self.convergence_tol > 0:
-            raise ConfigError("convergence_tol must be positive")
         if self.method not in ("last_value", "richardson_1"):
             raise ConfigError(f"unknown method {self.method!r}")
+        if not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
 
     @classmethod
     def from_json(cls, path: str, **overrides) -> "ExperimentConfig":
@@ -158,10 +190,7 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         data.update(overrides)
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -238,12 +267,18 @@ def dump_field(fld: HalfPlaneField, path: str) -> None:
     as shortest round-trip decimals.
     """
     header, rows = _field_table(fld)
+    _write(path, _render_table(header, rows))
+
+
+def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_render_table(header, rows))
+        fh.write(text)
 
 
-def _verdict(err: float, tol: float) -> str:
-    return "pass" if err <= tol else "fail"
+def _check(name: str, measured: float, tol: float, detail: str = "", ok=None) -> CheckResult:
+    """A gated check: it passes when ``ok`` holds if given, else when ``measured <= tol``."""
+    passed = measured <= tol if ok is None else ok
+    return CheckResult(name, "pass" if passed else "fail", measured, tol, detail)
 
 
 def _g(x: float) -> str:
@@ -256,26 +291,17 @@ def _g(x: float) -> str:
 
 def _run_kernels(config: ExperimentConfig):
     checks, tables = [], {}
-    criteria = {}
 
     # normalization of the Poisson kernel in all dimensions
-    devs = []
     rows = []
     for n in (1, 2, 3):
         for t in (0.1, 1.0, 10.0):
             val = radial_integrate(lambda r, n=n, t=t: poisson_kernel(n, t, r), n)
             dev = abs(val - 1.0)
-            devs.append(dev)
             rows.append((n, t, val, dev))
-            checks.append(CheckResult(
-                f"poisson_normalization n={n} t={t:g}", _verdict(dev, 1e-6), dev, 1e-6,
-                detail="deviation from unit mass",
-            ))
+            checks.append(_check(f"poisson_normalization n={n} t={t:g}", dev, 1e-6,
+                                 "deviation from unit mass"))
     tables["kernels/normalization.csv"] = (("n", "t", "value", "deviation"), rows)
-    criteria[1] = CriterionOutcome(
-        1, "poisson_normalization", _verdict(max(devs), 1e-6), max(devs), 1e-6,
-        detail="n in {1,2,3}, t in {0.1,1,10}, radial quadrature",
-    )
 
     # box-truncated mass against the arctan antiderivative on the line
     grid_box = make_grid(1, 100.0, 2 ** 16)
@@ -284,11 +310,8 @@ def _run_kernels(config: ExperimentConfig):
         lattice_mass = integrate(sample_kernel(grid_box, KernelSpec("poisson", t, 1))).real
         truncated = 1.0 - (2.0 / math.pi) * math.atan(t / grid_box.half_width)
         oracle_errs.append(abs(lattice_mass - truncated))
-    checks.append(CheckResult(
-        "poisson_truncated_mass_oracle", _verdict(max(oracle_errs), 1e-6),
-        max(oracle_errs), 1e-6,
-        detail="lattice box mass vs arctan closed form, t in {0.1,1,10}",
-    ))
+    checks.append(_check("poisson_truncated_mass_oracle", max(oracle_errs), 1e-6,
+                         "lattice box mass vs arctan closed form, t in {0.1,1,10}"))
 
     # transform identity on the configured grid; the kink of the kernel at
     # the origin aliases like (pi/3) * spacing^2, which caps the achievable
@@ -310,12 +333,7 @@ def _run_kernels(config: ExperimentConfig):
     else:
         verdict_id = "fail"
         detail_id = f"error is not explained by the aliasing floor {_g(floor)}"
-    checks.append(CheckResult(
-        "transform_identity_pinned_grid", verdict_id, err_id, 1e-6, detail_id))
-    criteria[2] = CriterionOutcome(
-        2, "abel_transform_identity", verdict_id, err_id, 1e-6,
-        detail=f"grid R={config.half_width:g} N={config.points}; {detail_id}",
-    )
+    checks.append(CheckResult("transform_identity_pinned_grid", verdict_id, err_id, 1e-6, detail_id))
     # about 33 evenly spaced rows across the window (exactly the
     # quarter-integer frequencies on the default grid)
     widx = np.flatnonzero(win)
@@ -333,59 +351,37 @@ def _run_kernels(config: ExperimentConfig):
     xi_f = F_fine.grid.axis()
     win_f = np.abs(xi_f) <= 4.0
     err_fine = float(np.max(np.abs(F_fine.values[win_f] - abel_ft(1, 1.0, xi_f[win_f]))))
-    checks.append(CheckResult(
-        "transform_identity_refined_grid", _verdict(err_fine, 1e-6), err_fine, 1e-6,
-        detail="same identity, N=2^17: the floor scales away as spacing^-2",
-    ))
+    checks.append(_check("transform_identity_refined_grid", err_fine, 1e-6,
+                         "same identity, N=2^17: the floor scales away as spacing^-2"))
 
     # one-sided kernels: lattice transform against the closed forms
     grid_half = make_grid(1, 40.0, 2 ** 20)
-    half_errs = {}
     for sign, fam in (("+", "abel_plus"), ("-", "abel_minus")):
         Fh = forward_ft(sample_kernel(grid_half, KernelSpec(fam, 1.0, 1)))
         xih = Fh.grid.axis()
         winh = np.abs(xih) <= 4.0
         err = float(np.max(np.abs(Fh.values[winh] - half_kernel_ft(sign, 1.0, xih[winh]))))
-        half_errs[sign] = err
-        checks.append(CheckResult(
-            f"half_line_transform sign={sign}", _verdict(err, 1e-4), err, 1e-4,
-            detail="jump at the origin costs spacing/2 per frequency",
-        ))
+        checks.append(_check(f"half_line_transform sign={sign}", err, 1e-4,
+                             "jump at the origin costs spacing/2 per frequency"))
     xi_dense = np.linspace(-4.0, 4.0, 1601)
     conj_err = float(np.max(np.abs(
         half_kernel_ft("-", 1.0, xi_dense) - np.conjugate(half_kernel_ft("+", 1.0, xi_dense)))))
     sum_err = float(np.max(np.abs(
         half_kernel_ft("+", 1.0, xi_dense) + half_kernel_ft("-", 1.0, xi_dense)
         - abel_ft(1, 1.0, xi_dense))))
-    checks.append(CheckResult(
-        "half_line_conjugacy_identity", _verdict(conj_err, 1e-12), conj_err, 1e-12))
-    checks.append(CheckResult(
-        "half_line_sum_identity", _verdict(sum_err, 1e-12), sum_err, 1e-12,
-        detail="the two closed forms sum to the Poisson kernel",
-    ))
-    crit3_err = max(half_errs.values())
-    crit3_ok = crit3_err <= 1e-4 and conj_err <= 1e-12 and sum_err <= 1e-12
-    criteria[3] = CriterionOutcome(
-        3, "half_line_transforms", "pass" if crit3_ok else "fail", crit3_err, 1e-4,
-        detail=f"lattice vs closed form on |xi| <= 4; identities at {_g(max(conj_err, sum_err))}",
-    )
+    checks.append(_check("half_line_conjugacy_identity", conj_err, 1e-12))
+    checks.append(_check("half_line_sum_identity", sum_err, 1e-12,
+                         "the two closed forms sum to the Poisson kernel"))
 
     # the Abel kernel as an average of Gaussians
     xs_sub = np.linspace(-3.0, 3.0, 201)
-    sub_errs = []
     sub_rows = []
     for t in (0.5, 1.0, 2.0):
         approx = abel_from_gaussians(t, xs_sub)
         err = float(np.max(np.abs(approx - abel_kernel(t, xs_sub))))
-        sub_errs.append(err)
         sub_rows.append((t, err))
-        checks.append(CheckResult(
-            f"gaussian_subordination t={t:g}", _verdict(err, 1e-8), err, 1e-8))
+        checks.append(_check(f"gaussian_subordination t={t:g}", err, 1e-8))
     tables["kernels/subordination.csv"] = (("t", "max_abs_error"), sub_rows)
-    criteria[4] = CriterionOutcome(
-        4, "gaussian_subordination", _verdict(max(sub_errs), 1e-8), max(sub_errs), 1e-8,
-        detail="201 points in [-3,3], t in {0.5,1,2}",
-    )
 
     # semigroup under convolution
     grid_semi = make_grid(1, 200.0, 2 ** 16)
@@ -396,14 +392,8 @@ def _run_kernels(config: ExperimentConfig):
     target = poisson_kernel(1, 2.0, x_semi[win_s])
     rel = np.abs(conv.values[win_s] - target) / target
     err_semi = float(np.max(rel))
-    checks.append(CheckResult(
-        "poisson_semigroup", _verdict(err_semi, 1e-4), err_semi, 1e-4,
-        detail="P_1 * P_1 vs P_2, relative on |x| <= 10",
-    ))
-    criteria[5] = CriterionOutcome(
-        5, "poisson_semigroup", _verdict(err_semi, 1e-4), err_semi, 1e-4,
-        detail="grid R=200 N=2^16, zero-padded transform convolution",
-    )
+    checks.append(_check("poisson_semigroup", err_semi, 1e-4,
+                         "P_1 * P_1 vs P_2, relative on |x| <= 10"))
     step = max(1, int(round(0.25 / grid_semi.spacing)))
     idx = np.flatnonzero(win_s)[::step]
     tables["kernels/semigroup.csv"] = (
@@ -413,25 +403,20 @@ def _run_kernels(config: ExperimentConfig):
          for i in idx],
     )
 
-    return checks, criteria, tables
+    return checks, tables
 
 
 def _run_summability(config: ExperimentConfig):
     checks, tables = [], {}
-    criteria = {}
     grid = make_grid(1, 2000.0, 400000)
     witnesses = [
         ("gauss", sample_function(grid, lambda x: np.exp(-math.pi * x * x))),
         ("poisson", sample_kernel(grid, KernelSpec("poisson", 1.0, 1))),
         ("abel", sample_function(grid, lambda x: np.exp(-2.0 * math.pi * np.abs(x)))),
     ]
-    schedule = default_schedule(
-        config.schedule_start, config.schedule_ratio, config.schedule_steps,
-        config.convergence_tol, config.method,
-    )
+    schedule = default_schedule(config.schedule_start, config.schedule_ratio, config.schedule_steps,
+                                config.convergence_tol, config.method)
     mean_rows, limit_rows = [], []
-    limit_errs, agree_errs = [], []
-    all_converged = True
     for name, h in witnesses:
         reference = integrate(h).real
         rep_a = summability_verdict(h, "abel", schedule)
@@ -442,29 +427,16 @@ def _run_summability(config: ExperimentConfig):
             err = abs(rep.limit_estimate - reference)
             limit_rows.append((name, kind, rep.limit_estimate.real, rep.residual,
                                rep.converged, reference, err))
-            all_converged = all_converged and rep.converged
-        limit_errs.append(abs(rep_a.limit_estimate - reference))
+        # the limit counts only when both damping routes converged
+        limit_err = abs(rep_a.limit_estimate - reference)
+        checks.append(_check(f"abel_limit witness={name}", limit_err, 1e-3,
+                             f"limit vs box integral {_g(reference)}; residual {_g(rep_a.residual)}",
+                             ok=limit_err <= 1e-3 and rep_a.converged and rep_g.converged))
         agree = abs(rep_a.limit_estimate - rep_g.limit_estimate)
-        agree_errs.append(agree)
-        checks.append(CheckResult(
-            f"abel_limit witness={name}", _verdict(limit_errs[-1], 1e-3),
-            limit_errs[-1], 1e-3,
-            detail=f"limit vs box integral {_g(reference)}; residual {_g(rep_a.residual)}",
-        ))
-        checks.append(CheckResult(
-            f"abel_gauss_agreement witness={name}", _verdict(agree, 2e-3), agree, 2e-3))
-    tables["summability/means.csv"] = (
-        ("witness", "kind", "t", "re_mean", "im_mean"), mean_rows)
+        checks.append(_check(f"abel_gauss_agreement witness={name}", agree, 2e-3))
+    tables["summability/means.csv"] = (("witness", "kind", "t", "re_mean", "im_mean"), mean_rows)
     tables["summability/limits.csv"] = (
-        ("witness", "kind", "limit", "residual", "converged", "reference", "abs_error"),
-        limit_rows)
-
-    crit_ok = (max(limit_errs) <= 1e-3 and max(agree_errs) <= 2e-3 and all_converged)
-    criteria[6] = CriterionOutcome(
-        6, "abel_summation_of_integrable", "pass" if crit_ok else "fail",
-        max(limit_errs), 1e-3,
-        detail=f"worst limit error; worst family disagreement {_g(max(agree_errs))} vs 0.002",
-    )
+        ("witness", "kind", "limit", "residual", "converged", "reference", "abs_error"), limit_rows)
 
     # radial route in higher dimensions: damped means of the unit-mass
     # Poisson kernel extrapolate to 1
@@ -476,24 +448,20 @@ def _run_summability(config: ExperimentConfig):
         extrap = (means[-1] - r * means[-2]) / (1.0 - r)
         err = abs(extrap - 1.0)
         radial_rows.append((n, extrap, err))
-        checks.append(CheckResult(
-            f"abel_sum_radial n={n}", _verdict(err, 1e-3), err, 1e-3,
-            detail="extrapolated damped means of the unit-mass kernel",
-        ))
+        checks.append(_check(f"abel_sum_radial n={n}", err, 1e-3,
+                             "extrapolated damped means of the unit-mass kernel"))
     tables["summability/radial.csv"] = (("n", "limit", "abs_error"), radial_rows)
-    return checks, criteria, tables
+    return checks, tables
 
 
 def _run_inversion(config: ExperimentConfig):
     checks, tables = [], {}
-    criteria = {}
 
     # round trip on a smooth witness
     grid_rt = make_grid(1, 8.0, 4096)
     f_rt = sample_function(grid_rt, lambda x: np.exp(-math.pi * x * x))
     rt_err = float(np.max(np.abs(inverse_ft(forward_ft(f_rt)).values - f_rt.values)))
-    checks.append(CheckResult(
-        "transform_round_trip", _verdict(rt_err, 1e-8), rt_err, 1e-8))
+    checks.append(_check("transform_round_trip", rt_err, 1e-8))
 
     # closed-form inverse: two-sided exponential spectrum comes back as the
     # Poisson kernel
@@ -506,10 +474,8 @@ def _run_inversion(config: ExperimentConfig):
     back = inverse_ft(two_sided)
     xb = back.grid.axis()
     inv_err = float(np.max(np.abs(back.values - poisson_kernel(1, 1.0, xb))))
-    checks.append(CheckResult(
-        "inverse_closed_form_poisson", _verdict(inv_err, 1e-6), inv_err, 1e-6,
-        detail="periodization alias controls the error; box chosen accordingly",
-    ))
+    checks.append(_check("inverse_closed_form_poisson", inv_err, 1e-6,
+                         "periodization alias controls the error; box chosen accordingly"))
 
     # damped inversion against direct convolution, two independent paths
     grid7 = make_grid(1, 128.0, 81920)
@@ -530,14 +496,8 @@ def _run_inversion(config: ExperimentConfig):
     tables["inversion/regularized.csv"] = (
         ("t", "x", "re_regularized", "im_regularized", "re_convolution",
          "im_convolution", "abs_difference"), rows)
-    checks.append(CheckResult(
-        "regularized_matches_convolution", _verdict(worst, 1e-5), worst, 1e-5,
-        detail="t in {0.2,0.1,0.05}, 11 points in [-2,2]",
-    ))
-    criteria[7] = CriterionOutcome(
-        7, "regularized_inverse_matches_convolution", _verdict(worst, 1e-5), worst, 1e-5,
-        detail="damped inverse vs Poisson convolution, two independent quadratures",
-    )
+    checks.append(_check("regularized_matches_convolution", worst, 1e-5,
+                         "t in {0.2,0.1,0.05}, 11 points in [-2,2]"))
 
     # attenuation of the damped inverse toward the point value
     att_rows = []
@@ -549,23 +509,18 @@ def _run_inversion(config: ExperimentConfig):
         att_rows.append((t, val.real, err))
     tables["inversion/attenuation.csv"] = (("t", "value_at_origin", "error_to_limit"), att_rows)
     decreasing = all(b < a for a, b in zip(errs, errs[1:]))
-    att_ok = decreasing and errs[-1] <= 5e-2
-    checks.append(CheckResult(
-        "regularized_inverse_attenuation", "pass" if att_ok else "fail",
-        errs[-1], 5e-2,
-        detail="error halves with t (first-order damping); monotone decrease required",
-    ))
-    return checks, criteria, tables
+    checks.append(_check("regularized_inverse_attenuation", errs[-1], 5e-2,
+                         "error halves with t (first-order damping); monotone decrease required",
+                         ok=decreasing and errs[-1] <= 5e-2))
+    return checks, tables
 
 
 def _run_hardy(config: ExperimentConfig):
     checks, tables = [], {}
-    criteria = {}
 
     # partition on a small grid: the split is exact linear algebra, so any
     # adequate grid demonstrates it
     grid_s = make_grid(1, 40.0, 2 ** 14)
-    partition_errs = []
     split_rows = []
     for name, func in (
         ("gauss", lambda x: np.exp(-math.pi * x * x)),
@@ -576,20 +531,12 @@ def _run_hardy(config: ExperimentConfig):
         plus, minus = hardy_split(f)
         recon = inverse_ft(plus).values + inverse_ft(minus).values
         err = float(np.max(np.abs(recon - f.values)))
-        partition_errs.append(err)
         split_rows.append((name,
                            float(np.sum(np.abs(plus.values)) * plus.grid.spacing),
                            float(np.sum(np.abs(minus.values)) * minus.grid.spacing),
                            err))
-        checks.append(CheckResult(
-            f"hardy_partition witness={name}", _verdict(err, 1e-8), err, 1e-8))
-    tables["hardy/partition.csv"] = (
-        ("witness", "plus_mass", "minus_mass", "reassembly_error"), split_rows)
-    criteria[8] = CriterionOutcome(
-        8, "hardy_split_partition", _verdict(max(partition_errs), 1e-8),
-        max(partition_errs), 1e-8,
-        detail="reassembly after the exact spectral partition; round-trip error only",
-    )
+        checks.append(_check(f"hardy_partition witness={name}", err, 1e-8))
+    tables["hardy/partition.csv"] = (("witness", "plus_mass", "minus_mass", "reassembly_error"), split_rows)
 
     # the big shared grid: spacing 1/16 in space, 2^-17 in frequency
     space = make_grid(1, 65536.0, 2 ** 21)
@@ -605,7 +552,6 @@ def _run_hardy(config: ExperimentConfig):
 
     # three representations of the same extension
     agree_rows = []
-    worst_agree = 0.0
     xq = np.linspace(-2.0, 2.0, 25)
     for name, F, f_space in (
         ("exp_halfline", w_exp, f_exp),
@@ -623,25 +569,13 @@ def _run_hardy(config: ExperimentConfig):
             witness_worst = max(witness_worst, float(np.max([d_sa.max(), d_sc.max(), d_ac.max()])))
             for k, x in enumerate(xq):
                 agree_rows.append((name, t, float(x), float(d_sa[k]), float(d_sc[k]), float(d_ac[k])))
-        worst_agree = max(worst_agree, witness_worst)
-        checks.append(CheckResult(
-            f"representation_agreement witness={name}", _verdict(witness_worst, 1e-5),
-            witness_worst, 1e-5,
-            detail="spectral vs damped-inverse vs Cauchy convolution, pairwise",
-        ))
+        checks.append(_check(f"representation_agreement witness={name}", witness_worst, 1e-5,
+                             "spectral vs damped-inverse vs Cauchy convolution, pairwise"))
     tables["hardy/agreement.csv"] = (
-        ("witness", "t", "x", "spectral_vs_damped", "spectral_vs_cauchy", "damped_vs_cauchy"),
-        agree_rows)
-    criteria[9] = CriterionOutcome(
-        9, "half_plane_representations_agree", _verdict(worst_agree, 1e-5),
-        worst_agree, 1e-5,
-        detail="25 points in [-2,2] per t in {0.25,0.5,1}, three witnesses",
-    )
+        ("witness", "t", "x", "spectral_vs_damped", "spectral_vs_cauchy", "damped_vs_cauchy"), agree_rows)
 
     # approach to the boundary; witnesses with exponential-type spectra
     bound_rows = []
-    crit10_ok = True
-    final_sups = []
     xb = np.linspace(-2.0, 2.0, 81)
     for name, F in (("exp_halfline", w_exp), ("poisson_plus", w_pois)):
         base = evaluate_upper(F, xb)
@@ -651,45 +585,23 @@ def _run_hardy(config: ExperimentConfig):
             sups.append(sup)
             bound_rows.append((name, t, sup))
         nonincreasing = all(b <= a for a, b in zip(sups, sups[1:]))
-        ok = nonincreasing and sups[-1] <= 1e-2
-        crit10_ok = crit10_ok and ok
-        final_sups.append(sups[-1])
-        checks.append(CheckResult(
-            f"boundary_continuity witness={name}", "pass" if ok else "fail",
-            sups[-1], 1e-2,
-            detail="sup over |x|<=2 of |f(x+it)-f(x)|, nonincreasing in t",
-        ))
+        checks.append(_check(f"boundary_continuity witness={name}", sups[-1], 1e-2,
+                             "sup over |x|<=2 of |f(x+it)-f(x)|, nonincreasing in t",
+                             ok=nonincreasing and sups[-1] <= 1e-2))
     tables["hardy/boundary.csv"] = (("witness", "t", "sup_difference"), bound_rows)
-    criteria[10] = CriterionOutcome(
-        10, "boundary_continuity", "pass" if crit10_ok else "fail",
-        max(final_sups), 1e-2,
-        detail="final sup at t=0.025; monotone approach required",
-    )
 
     # holomorphy certificate and its power
     r_coarse = cr_residual(w_exp, 1j, 1e-3)
     r_fine = cr_residual(w_exp, 1j, 5e-4)
     ratio = r_coarse / r_fine if r_fine > 0 else math.inf
-    anti = cr_residual(w_exp, 1j, 1e-3,
-                       evaluator=lambda w: evaluate_upper(w_exp, w).conjugate())
-    checks.append(CheckResult(
-        "cr_residual_holomorphic", _verdict(r_coarse, 1e-5), r_coarse, 1e-5,
-        detail="central differences at z=i, step 1e-3",
-    ))
-    checks.append(CheckResult(
-        "cr_residual_step_scaling", "pass" if ratio >= 3.0 else "fail", ratio, 3.0,
-        detail="halving the step must cut the residual at least 3x (second order)",
-    ))
-    checks.append(CheckResult(
-        "cr_residual_detects_antiholomorphic", "pass" if anti >= 1e-2 else "fail",
-        anti, 1e-2,
-        detail="conjugated field must light up the detector",
-    ))
-    crit11_ok = r_coarse <= 1e-5 and ratio >= 3.0 and anti >= 1e-2
-    criteria[11] = CriterionOutcome(
-        11, "cauchy_riemann_residual", "pass" if crit11_ok else "fail", r_coarse, 1e-5,
-        detail=f"step scaling {_g(ratio)}x, conjugate witness residual {_g(anti)}",
-    )
+    anti = cr_residual(w_exp, 1j, 1e-3, evaluator=lambda w: evaluate_upper(w_exp, w).conjugate())
+    checks.append(_check("cr_residual_holomorphic", r_coarse, 1e-5,
+                         "central differences at z=i, step 1e-3"))
+    checks.append(_check("cr_residual_step_scaling", ratio, 3.0,
+                         "halving the step must cut the residual at least 3x (second order)",
+                         ok=ratio >= 3.0))
+    checks.append(_check("cr_residual_detects_antiholomorphic", anti, 1e-2,
+                         "conjugated field must light up the detector", ok=anti >= 1e-2))
     tables["hardy/cr_residual.csv"] = (
         ("case", "h", "residual"),
         [("holomorphic", 1e-3, r_coarse), ("holomorphic", 5e-4, r_fine),
@@ -700,10 +612,8 @@ def _run_hardy(config: ExperimentConfig):
     w_exp_low = sample_spectrum(freq, lambda xi: np.exp(2.0 * math.pi * xi), SupportSpec.nonpos())
     mirror = evaluate_lower(w_exp_low, -1j)
     mirror_err = abs(mirror - 1.0 / (4.0 * math.pi))
-    checks.append(CheckResult(
-        "lower_half_plane_mirror", _verdict(mirror_err, 1e-8), mirror_err, 1e-8,
-        detail="reflected exponential spectrum evaluated at -i",
-    ))
+    checks.append(_check("lower_half_plane_mirror", mirror_err, 1e-8,
+                         "reflected exponential spectrum evaluated at -i"))
 
     # harmonic extension: convolution path vs damped spectral path
     F_p1 = forward_ft(p1)
@@ -712,10 +622,8 @@ def _run_hardy(config: ExperimentConfig):
     ix = np.round((x_ext + space.half_width) / space.spacing).astype(int)
     damped = abel_regularized_inverse(F_p1, 0.5, x_ext)
     ext_err = float(np.max(np.abs(ext.values[ix] - damped)))
-    checks.append(CheckResult(
-        "poisson_extension_agrees", _verdict(ext_err, 1e-5), ext_err, 1e-5,
-        detail="convolution extension vs damped inversion at height 0.5",
-    ))
+    checks.append(_check("poisson_extension_agrees", ext_err, 1e-5,
+                         "convolution extension vs damped inversion at height 0.5"))
     tables["hardy/extension.csv"] = (
         ("x", "convolution", "damped_inverse", "closed_form", "path_difference"),
         [(float(x), float(ext.values[i].real), float(damped[k].real),
@@ -727,12 +635,11 @@ def _run_hardy(config: ExperimentConfig):
     fld = evaluate_field(w_exp, np.linspace(-2.0, 2.0, 17), np.array([0.25, 0.5, 1.0]))
     tables["hardy/field_upper.csv"] = _field_table(fld)
 
-    return checks, criteria, tables
+    return checks, tables
 
 
 def _run_growth(config: ExperimentConfig):
     checks, tables = [], {}
-    criteria = {}
     fgrid = make_grid(1, 2.0, 2048)
     spectra = [
         ("flat_full", sample_spectrum(fgrid, lambda xi: np.ones_like(xi), SupportSpec.interval(-1.0, 1.0))),
@@ -754,32 +661,16 @@ def _run_growth(config: ExperimentConfig):
     spot_env_true = 2.0 * math.exp(2.0 * math.pi)
     rel_f = abs(spot_f - spot_f_true) / spot_f_true
     rel_env = abs(spot_env - spot_env_true) / spot_env_true
-    spot_worst = max(rel_f, rel_env)
-    checks.append(CheckResult(
-        "growth_bound_at_type", "pass" if rep.passed else "fail",
-        rep.max_margin_violation, 1e-6,
-        detail=f"measured real-axis bound {_g(rep.B)}; empirical type {_g(rep.sigma_estimate)}",
-    ))
-    checks.append(CheckResult(
-        "growth_bound_rejects_half_type", "pass" if not rep_half.passed else "fail",
-        rep_half.max_margin_violation, 1e-6,
-        detail="understated type must be caught (violation far above the gate)",
-    ))
-    checks.append(CheckResult(
-        "spot_value_imaginary_unit", _verdict(rel_f, 1e-4), rel_f, 1e-4,
-        detail=f"|f(i)| vs sinh(2 pi)/pi = {_g(spot_f_true)}",
-    ))
-    checks.append(CheckResult(
-        "spot_envelope_height_one", _verdict(rel_env, 1e-4), rel_env, 1e-4,
-        detail=f"envelope at height 1 vs 2 exp(2 pi) = {_g(spot_env_true)}",
-    ))
-    crit12_ok = rep.passed and not rep_half.passed and spot_worst <= 1e-4
-    criteria[12] = CriterionOutcome(
-        12, "growth_bound_conclusion", "pass" if crit12_ok else "fail",
-        spot_worst, 1e-4,
-        detail=(f"bound holds at the type, fails at half (violation {_g(rep_half.max_margin_violation)}); "
-                f"spot values within the gate"),
-    )
+    checks.append(_check("growth_bound_at_type", rep.max_margin_violation, 1e-6,
+                         f"measured real-axis bound {_g(rep.B)}; empirical type {_g(rep.sigma_estimate)}",
+                         ok=rep.passed))
+    checks.append(_check("growth_bound_rejects_half_type", rep_half.max_margin_violation, 1e-6,
+                         "understated type must be caught (violation far above the gate)",
+                         ok=not rep_half.passed))
+    checks.append(_check("spot_value_imaginary_unit", rel_f, 1e-4,
+                         f"|f(i)| vs sinh(2 pi)/pi = {_g(spot_f_true)}"))
+    checks.append(_check("spot_envelope_height_one", rel_env, 1e-4,
+                         f"envelope at height 1 vs 2 exp(2 pi) = {_g(spot_env_true)}"))
     tables["growth/pl_bound.csv"] = (
         ("support", "sigma", "B", "max_margin_violation", "passed", "sigma_estimate"),
         [("flat_full", rep.sigma, rep.B, rep.max_margin_violation, rep.passed, rep.sigma_estimate),
@@ -788,7 +679,6 @@ def _run_growth(config: ExperimentConfig):
     )
 
     # envelope domination on the whole lattice, per spectrum
-    worst_margin = -math.inf
     for label, F in spectra:
         rows = []
         label_worst = -math.inf
@@ -800,54 +690,34 @@ def _run_growth(config: ExperimentConfig):
                 label_worst = max(label_worst, margin)
                 rows.append((float(x), float(y), float(v), env, margin))
         tables[f"growth/lattice_{label}.csv"] = (("x", "y", "abs_f", "envelope", "margin"), rows)
-        worst_margin = max(worst_margin, label_worst)
-        checks.append(CheckResult(
-            f"envelope_dominates support={label}", _verdict(label_worst, 1e-8),
-            label_worst, 1e-8,
-            detail="max of |f|/envelope - 1 over the lattice",
-        ))
-    criteria[13] = CriterionOutcome(
-        13, "envelope_dominates", _verdict(worst_margin, 1e-8), worst_margin, 1e-8,
-        detail="all spectra, 21 x 13 lattice on |x|<=5, |y|<=3",
-    )
+        checks.append(_check(f"envelope_dominates support={label}", label_worst, 1e-8,
+                             "max of |f|/envelope - 1 over the lattice"))
 
     # empirical type
     type_rows = []
-    type_errs = []
     for label, F, true_type in (
         ("flat_full", spectra[0][1], 2.0 * math.pi),
         ("flat_half", spectra[1][1], math.pi),
     ):
         est = estimate_type(F, (2.0, 3.0, 4.0, 5.0))
         err = abs(est - true_type)
-        type_errs.append(err)
         type_rows.append((label, est, true_type, err))
-        checks.append(CheckResult(
-            f"type_estimate support={label}", _verdict(err, 0.3), err, 0.3,
-            detail=f"fitted {_g(est)} vs spectral type {_g(true_type)}",
-        ))
+        checks.append(_check(f"type_estimate support={label}", err, 0.3,
+                             f"fitted {_g(est)} vs spectral type {_g(true_type)}"))
     tables["growth/type.csv"] = (("support", "estimate", "true_type", "abs_error"), type_rows)
-    criteria[14] = CriterionOutcome(
-        14, "type_estimation", _verdict(max(type_errs), 0.3), max(type_errs), 0.3,
-        detail="imaginary-axis fit with heights {2,3,4,5}",
-    )
 
     # supporting checks: the measured bound is stable in the window, and a
     # point-like spectrum has nearly zero type
     b25 = measure_real_bound(full, window=25.0)
     b50 = measure_real_bound(full, window=50.0)
     stab = abs(b50 - b25)
-    checks.append(CheckResult(
-        "real_bound_stabilizes", _verdict(stab, 1e-9), stab, 1e-9,
-        detail="doubling the measurement window must not move the bound",
-    ))
+    checks.append(_check("real_bound_stabilizes", stab, 1e-9,
+                         "doubling the measurement window must not move the bound"))
     point = sample_spectrum(fgrid, lambda xi: np.ones_like(xi), SupportSpec.interval(0.0, 0.0))
     est0 = abs(estimate_type(point, (2.0, 3.0, 4.0, 5.0)))
-    checks.append(CheckResult(
-        "point_spectrum_type_near_zero", _verdict(est0, 1e-2), est0, 1e-2,
-        detail="single-cell spectrum is nearly constant",
-    ))
-    return checks, criteria, tables
+    checks.append(_check("point_spectrum_type_near_zero", est0, 1e-2,
+                         "single-cell spectrum is nearly constant"))
+    return checks, tables
 
 
 _SUITE_FN = {
@@ -863,37 +733,47 @@ _SUITE_FN = {
 # assembly
 
 
+def _worst(members: dict, tol: float | None):
+    """The largest measured value among the members gated at ``tol``."""
+    return max((c.measured for c in members.values() if c.tolerance == tol), default=None)
+
+
+def _criteria(checks, facts: dict) -> list:
+    """One outcome per :data:`CRITERIA` row, derived from its member checks."""
+    outcomes = []
+    for index, slug, prefixes, tol, detail in CRITERIA:
+        members = {c.name: c for c in checks if c.name.startswith((slug,) + prefixes)}
+        if not members:
+            outcomes.append(CriterionOutcome(index, slug, "not-run"))
+            continue
+        # the first of these verdicts that any member has
+        verdicts = {c.verdict for c in members.values()}
+        verdict = next(v for v in ("fail", "expected-fail", "pass") if v in verdicts)
+        if callable(detail):
+            detail = detail(members, facts)
+        outcomes.append(CriterionOutcome(index, slug, verdict, _worst(members, tol), tol, detail))
+    return outcomes
+
+
+def _summary_line(head: str, c) -> str:
+    bits = []
+    if c.measured is not None and c.tolerance is not None:
+        bits.append(f"measured {_g(c.measured)} vs tol {_g(c.tolerance)}")
+    if c.detail:
+        bits.append(c.detail)
+    line = f"{head}: {c.verdict}"
+    return f"{line} ({'; '.join(bits)})" if bits else line
+
+
 def _summary_text(suite: str, checks, criteria, failed: int, expected: int) -> str:
-    lines = [f"abelharm check summary", f"suite: {suite}", ""]
-    lines.append("[checks]")
-    for c in checks:
-        part = f"{c.name}: {c.verdict}"
-        bits = []
-        if c.measured is not None and c.tolerance is not None:
-            bits.append(f"measured {_g(c.measured)} vs tol {_g(c.tolerance)}")
-        if c.detail:
-            bits.append(c.detail)
-        if bits:
-            part += f" ({'; '.join(bits)})"
-        lines.append(part)
-    lines.append("")
-    lines.append("[acceptance]")
-    for c in criteria:
-        part = f"{c.index:2d} {c.name}: {c.verdict}"
-        bits = []
-        if c.measured is not None and c.tolerance is not None:
-            bits.append(f"measured {_g(c.measured)} vs tol {_g(c.tolerance)}")
-        if c.detail:
-            bits.append(c.detail)
-        if bits:
-            part += f" ({'; '.join(bits)})"
-        lines.append(part)
+    lines = ["abelharm check summary", f"suite: {suite}", "", "[checks]"]
+    lines.extend(_summary_line(c.name, c) for c in checks)
+    lines += ["", "[acceptance]"]
+    lines.extend(_summary_line(f"{c.index:2d} {c.name}", c) for c in criteria)
     lines.append("")
     verdict = "PASS" if failed == 0 else "FAIL"
-    lines.append(
-        f"result: {verdict} ({len(checks)} checks, {failed} failed, "
-        f"{expected} expected-fail)"
-    )
+    lines.append(f"result: {verdict} ({len(checks)} checks, {failed} failed, "
+                 f"{expected} expected-fail)")
     return "\n".join(lines) + "\n"
 
 
@@ -907,24 +787,22 @@ def run(config: ExperimentConfig) -> ReportBundle:
     try:
         os.makedirs(out, exist_ok=True)
         probe = os.path.join(out, ".write-probe")
-        with open(probe, "w", encoding="utf-8") as fh:
-            fh.write("ok")
+        _write(probe, "ok")
         os.remove(probe)
     except OSError as exc:
         raise ConfigError(f"output_dir {out!r} is not writable: {exc}") from exc
 
     selected = SUITES if config.suite == "all" else (config.suite,)
     checks: list = []
-    crit_map: dict = {}
     tables: dict = {}
     timings: dict = {}
+    facts = asdict(config)
     t_start = time.perf_counter()
     for name in selected:
         t0 = time.perf_counter()
-        suite_checks, suite_criteria, suite_tables = _SUITE_FN[name](config)
+        suite_checks, suite_tables = _SUITE_FN[name](config)
         timings[name] = time.perf_counter() - t0
         checks.extend(suite_checks)
-        crit_map.update(suite_criteria)
         tables.update(suite_tables)
     total = time.perf_counter() - t_start
     timings["total"] = total
@@ -943,16 +821,9 @@ def run(config: ExperimentConfig) -> ReportBundle:
                    "budget (timing in the manifest); cross-run byte identity "
                    "is exercised by the test suite",
         ))
-        crit_map[15] = CriterionOutcome(
-            15, "determinism", verdict15,
-            detail=f"re-serialization byte-identical: {str(stable).lower()}; "
-                   f"wall time within budget: {str(fast_enough).lower()}",
-        )
+        facts.update(stable=stable, fast_enough=fast_enough)
 
-    criteria = []
-    for index, slug in CRITERIA:
-        criteria.append(crit_map.get(index, CriterionOutcome(index, slug, "not-run")))
-
+    criteria = _criteria(checks, facts)
     failed = sum(1 for c in checks if c.verdict == "fail")
     failed += sum(1 for c in criteria if c.verdict == "fail")
     expected = sum(1 for c in checks if c.verdict == "expected-fail")
@@ -982,28 +853,14 @@ def run(config: ExperimentConfig) -> ReportBundle:
     for rel, (header, rows) in tables.items():
         path = os.path.join(out, rel)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_render_table(header, rows))
-    with open(os.path.join(out, "summary.txt"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(summary_text)
-    with open(os.path.join(out, "summary.json"), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
-    with open(os.path.join(out, "manifest.json"), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+        _write(path, _render_table(header, rows))
+    _write(os.path.join(out, "summary.txt"), summary_text)
+    _write(os.path.join(out, "summary.json"), json.dumps(summary, indent=2) + "\n")
+    _write(os.path.join(out, "manifest.json"), json.dumps(manifest, indent=2) + "\n")
 
-    return ReportBundle(
-        suite=config.suite,
-        checks=checks,
-        criteria=criteria,
-        tables=tables,
-        summary_text=summary_text,
-        summary=summary,
-        manifest=manifest,
-        output_dir=out,
-        failed=failed,
-    )
+    return ReportBundle(suite=config.suite, checks=checks, criteria=criteria, tables=tables,
+                        summary_text=summary_text, summary=summary, manifest=manifest,
+                        output_dir=out, failed=failed)
 
 
 def main(argv=None) -> int:
@@ -1031,10 +888,7 @@ def main(argv=None) -> int:
         else:
             config = ExperimentConfig(**overrides)
         bundle = run(config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,7 +28,6 @@ from .spectral import (
 )
 
 __all__ = [
-    "HalfPlanePoint",
     "HalfPlaneField",
     "hardy_split",
     "evaluate_upper",
@@ -39,25 +38,6 @@ __all__ = [
     "poisson_extend",
     "cr_residual",
 ]
-
-
-@dataclass(frozen=True)
-class HalfPlanePoint:
-    """A point z = x + iy with its half-plane side derived from y."""
-
-    x: float
-    y: float
-
-    @property
-    def side(self) -> str:
-        if self.y > 0:
-            return "upper"
-        if self.y < 0:
-            return "lower"
-        return "boundary"
-
-    def __complex__(self) -> complex:
-        return complex(self.x, self.y)
 
 
 @dataclass(frozen=True)
@@ -128,8 +108,6 @@ def _require_side(F: Spectrum, side: str | None = None) -> str:
 
 def _evaluate_side(F: Spectrum, z, side: str):
     _require_side(F, side)
-    if isinstance(z, HalfPlanePoint):
-        z = complex(z)
     zs = np.asarray(z, dtype=complex)
     if side == "upper":
         wrong = zs.imag < 0.0
@@ -155,8 +133,8 @@ def evaluate_upper(F: Spectrum, z):
     term-for-term the damped inverse transform at scale t, which is what
     ties the half-plane extension to the summability machinery.
 
-    ``z`` may be a HalfPlanePoint, a complex scalar, or an array of
-    complex values; points below the axis and non-finite points raise.
+    ``z`` may be a complex scalar or an array of complex values; points
+    below the axis and non-finite points raise.
     """
     return _evaluate_side(F, z, "upper")
 

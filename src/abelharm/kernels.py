@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampled import Grid, SampledFunction, SPHERE_MEASURE
+from .sampled import Grid, SampledFunction
 
 __all__ = [
     "KernelSpec",
@@ -230,15 +230,12 @@ def kernel_value(spec: KernelSpec, x):
 def sample_kernel(grid: Grid, spec: KernelSpec) -> SampledFunction:
     """Sample a kernel on a grid with the right decay declaration.
 
-    Exponentially decaying families are tagged schwartz-like.  The Poisson
-    family is tagged integrable with its asymptotic exterior mass
-    c_n * omega_{n-1} * t / R as the tail constant.
+    Exponentially decaying families are tagged schwartz-like; the Poisson
+    family, with its algebraic tail, is tagged integrable.
     """
     if grid.n != spec.n:
         raise ValueError(f"grid dimension {grid.n} != kernel dimension {spec.n}")
     pts = grid.axis() if grid.n == 1 else grid.lattice()
     vals = kernel_value(spec, pts)
-    if spec.family == "poisson":
-        tail = poisson_constant(spec.n) * SPHERE_MEASURE[spec.n] * spec.t / grid.half_width
-        return SampledFunction(grid, vals.astype(complex), "integrable", tail)
-    return SampledFunction(grid, vals.astype(complex), "schwartz-like")
+    tag = "integrable" if spec.family == "poisson" else "schwartz-like"
+    return SampledFunction(grid, vals.astype(complex), tag)

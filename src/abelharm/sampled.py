@@ -23,7 +23,6 @@ __all__ = [
     "make_grid",
     "sample_function",
     "integrate",
-    "truncation_estimate",
     "convolve",
     "radial_integrate",
 ]
@@ -110,15 +109,12 @@ class SampledFunction:
     ``values`` is stored flat in lexicographic order over the lattice.
     ``decay_tag`` declares what is known about decay outside the box and
     gates whether box quadrature may be reported as an approximation of a
-    convergent improper integral.  ``tail_constant`` is a caller-supplied
-    bound on the omitted tail mass (integral of |f| outside the box); it is
-    only consulted for the ``integrable`` tag.
+    convergent improper integral.  Every sample must be finite.
     """
 
     grid: Grid
     values: np.ndarray
     decay_tag: str = "schwartz-like"
-    tail_constant: float = 0.0
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
@@ -126,20 +122,11 @@ class SampledFunction:
             raise ValueError(
                 f"values must have shape ({self.grid.size},), got {vals.shape}"
             )
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("samples must be finite")
         if self.decay_tag not in DECAY_TAGS:
             raise ValueError(f"unknown decay_tag {self.decay_tag!r}")
-        if self.tail_constant < 0:
-            raise ValueError("tail_constant must be nonnegative")
         object.__setattr__(self, "values", vals)
-
-    def with_values(self, values, decay_tag=None, tail_constant=None) -> "SampledFunction":
-        """Same grid, new samples."""
-        return SampledFunction(
-            self.grid,
-            values,
-            self.decay_tag if decay_tag is None else decay_tag,
-            self.tail_constant if tail_constant is None else tail_constant,
-        )
 
 
 def make_grid(n: int, half_width: float, points: int) -> Grid:
@@ -147,7 +134,7 @@ def make_grid(n: int, half_width: float, points: int) -> Grid:
     return Grid(n, float(half_width), int(points))
 
 
-def sample_function(grid, func, decay_tag="schwartz-like", tail_constant=0.0):
+def sample_function(grid, func, decay_tag="schwartz-like"):
     """Sample a vectorized callable on the lattice.
 
     For n = 1 the callable receives the coordinate axis as a 1-D array.
@@ -158,7 +145,7 @@ def sample_function(grid, func, decay_tag="schwartz-like", tail_constant=0.0):
         vals = np.asarray(func(grid.axis()))
     else:
         vals = np.asarray(func(grid.lattice()))
-    return SampledFunction(grid, vals.astype(complex), decay_tag, tail_constant)
+    return SampledFunction(grid, vals.astype(complex), decay_tag)
 
 
 def _compensated_sum(values: np.ndarray) -> complex:
@@ -184,34 +171,6 @@ def integrate(f: SampledFunction) -> complex:
         )
     weight = f.grid.spacing ** f.grid.n
     return weight * _compensated_sum(f.values)
-
-
-def truncation_estimate(f: SampledFunction) -> float:
-    """Heuristic bound on the integral mass outside the box.
-
-    schwartz-like samples are assumed to decay at least like exp(-(r - R))
-    beyond the box, anchored at the largest magnitude seen on the outermost
-    lattice shell.  integrable samples report the caller-supplied
-    tail_constant verbatim.  bounded-only samples have no usable bound.
-    """
-    if f.decay_tag == "bounded-only":
-        return math.inf
-    if f.decay_tag == "integrable":
-        return float(f.tail_constant)
-    R = f.grid.half_width
-    n = f.grid.n
-    if n == 1:
-        edge = max(abs(f.values[0]), abs(f.values[-1]))
-    else:
-        shaped = f.values.reshape((f.grid.points,) * n)
-        edge = 0.0
-        for ax in range(n):
-            first = np.take(shaped, 0, axis=ax)
-            last = np.take(shaped, -1, axis=ax)
-            edge = max(edge, float(np.max(np.abs(first))), float(np.max(np.abs(last))))
-    # integral of the exp(-(r - R)) envelope over the exterior, to leading
-    # order in the surface term
-    return SPHERE_MEASURE[n] * R ** (n - 1) * float(edge)
 
 
 def convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:
@@ -244,12 +203,7 @@ def convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:
     tag = "schwartz-like"
     if "integrable" in (f.decay_tag, g.decay_tag):
         tag = "integrable"
-    return SampledFunction(
-        f.grid,
-        vals.ravel(),
-        tag,
-        tail_constant=f.tail_constant + g.tail_constant,
-    )
+    return SampledFunction(f.grid, vals.ravel(), tag)
 
 
 def radial_integrate(profile, n: int, upper: float = math.inf) -> float:

@@ -102,8 +102,8 @@ class SupportSpec:
 class Spectrum:
     """Complex samples of a transform on a 1-D frequency grid.
 
-    Values must vanish exactly (not merely be small) at lattice points
-    outside the declared support.
+    Values must be finite, and must vanish exactly (not merely be small)
+    at lattice points outside the declared support.
     """
 
     grid: Grid
@@ -118,13 +118,12 @@ class Spectrum:
             raise ValueError(
                 f"values must have shape ({self.grid.points},), got {vals.shape}"
             )
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("spectrum values must be finite")
         outside = ~self.support.contains(self.grid.axis())
         if np.any(vals[outside] != 0):
             raise ValueError("spectrum has nonzero values outside its declared support")
         object.__setattr__(self, "values", vals)
-
-    def with_values(self, values, support=None) -> "Spectrum":
-        return Spectrum(self.grid, values, support or self.support)
 
 
 def _alternating(N: int) -> np.ndarray:

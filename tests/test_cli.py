@@ -2,13 +2,18 @@ import json
 import math
 import os
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from abelharm import SupportSpec, evaluate_field, make_grid, sample_spectrum
 from abelharm.cli import (
+    CheckResult,
     ConfigError,
     ExperimentConfig,
+    _check,
+    _criteria,
     dump_field,
     main,
     run,
@@ -33,6 +38,23 @@ def test_config_rejects_bad_values():
         ExperimentConfig(schedule_steps=2)
     with pytest.raises(ConfigError):
         ExperimentConfig(method="cesaro")
+    # integers must be plain ints, and every float field finite
+    with pytest.raises(ConfigError):
+        ExperimentConfig(schedule_steps=12.5)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(points=16384.0)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(points=True)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(convergence_tol=math.inf)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(half_width=math.nan)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(schedule_start=math.inf)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(schedule_ratio=True)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(output_dir=5)
 
 
 def test_config_from_json(tmp_path):
@@ -119,6 +141,18 @@ def test_main_exit_codes(tmp_path):
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("text", ['{"schedule_steps": 12.5}', '{"convergence_tol": 1e400}'])
+def test_main_rejects_bad_config_values(tmp_path, capsys, text):
+    # a fractional step count used to crash the run (exit 1), and an
+    # infinite tolerance passed every convergence verdict
+    conf = tmp_path / "conf.json"
+    conf.write_text(text)
+    out = tmp_path / "rep"
+    assert main(["run", "--config", str(conf), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "summary.txt").exists()
+
+
 def test_main_env_var_out(tmp_path, monkeypatch, capsys):
     target = tmp_path / "via-env"
     monkeypatch.setenv("ABELHARM_OUT", str(target))
@@ -164,3 +198,94 @@ def test_suite_flag_beats_config_file(tmp_path):
     assert main(["run", "--suite", "growth", "--config", str(conf), "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["suite"] == "growth"
+
+
+# ---------------------------------------------------------------------------
+# deriving the acceptance criteria from their member checks
+
+FACTS = asdict(ExperimentConfig())
+
+
+def _outcome(checks, index):
+    return {c.index: c for c in _criteria(checks, FACTS)}[index]
+
+
+def test_check_gate_and_override():
+    assert _check("g", 1e-9, 1e-8).verdict == "pass"
+    assert _check("g", 2e-8, 1e-8).verdict == "fail"
+    assert _check("g", math.nan, 1e-8).verdict == "fail"
+    assert _check("g", 4.0, 3.0, ok=4.0 >= 3.0).verdict == "pass"
+    assert _check("g", 1e-9, 1e-8, ok=False).verdict == "fail"
+
+
+def test_criterion_fails_when_any_member_fails():
+    checks = [
+        CheckResult("gaussian_subordination t=0.5", "pass", 1e-9, 1e-8),
+        CheckResult("gaussian_subordination t=1", "fail", 2e-8, 1e-8),
+        CheckResult("gaussian_subordination t=2", "expected-fail", 5e-9, 1e-8),
+    ]
+    out = _outcome(checks, 4)
+    assert (out.name, out.verdict) == ("gaussian_subordination", "fail")
+    assert (out.measured, out.tolerance) == (2e-8, 1e-8)
+    assert out.detail == "201 points in [-3,3], t in {0.5,1,2}"
+
+
+def test_criterion_is_expected_fail_when_a_member_is_and_none_fails():
+    checks = [
+        CheckResult("transform_identity_pinned_grid", "expected-fail", 2.5e-5, 1e-6, "aliasing floor"),
+        CheckResult("transform_identity_refined_grid", "pass", 1e-9, 1e-6),
+    ]
+    out = _outcome(checks, 2)
+    assert out.verdict == "expected-fail"
+    assert out.measured == 2.5e-5
+    assert out.detail == "grid R=40 N=16384; aliasing floor"
+    checks = [
+        CheckResult("abel_limit witness=gauss", "expected-fail", 1e-4, 1e-3),
+        CheckResult("abel_gauss_agreement witness=gauss", "pass", 1e-4, 2e-3),
+    ]
+    assert _outcome(checks, 6).verdict == "expected-fail"
+
+
+def test_criterion_without_members_is_not_run():
+    outcomes = _criteria([CheckResult("transform_round_trip", "pass", 1e-12, 1e-8)], FACTS)
+    assert [c.index for c in outcomes] == list(range(1, 16))
+    for c in outcomes:
+        assert (c.verdict, c.measured, c.tolerance, c.detail) == ("not-run", None, None, "")
+
+
+def test_criterion_measures_the_worst_member_at_its_tolerance():
+    # criterion 11 gates at 1e-5; its step-scaling (gate 3) and conjugate
+    # (gate 1e-2) members enter only the detail
+    checks = [
+        CheckResult("cr_residual_holomorphic", "pass", 2e-8, 1e-5),
+        CheckResult("cr_residual_step_scaling", "pass", 4.0, 3.0),
+        CheckResult("cr_residual_detects_antiholomorphic", "pass", 0.08, 1e-2),
+    ]
+    out = _outcome(checks, 11)
+    assert (out.verdict, out.measured, out.tolerance) == ("pass", 2e-8, 1e-5)
+    assert out.detail == "step scaling 4x, conjugate witness residual 0.08"
+    checks = [
+        CheckResult("half_line_transform sign=+", "pass", 3e-5, 1e-4),
+        CheckResult("half_line_transform sign=-", "pass", 1e-5, 1e-4),
+        CheckResult("half_line_conjugacy_identity", "pass", 5e-17, 1e-12),
+        CheckResult("half_line_sum_identity", "pass", 1e-16, 1e-12),
+    ]
+    out = _outcome(checks, 3)
+    assert (out.measured, out.tolerance) == (3e-5, 1e-4)
+    assert out.detail.endswith("identities at 1e-16")
+
+
+def test_unconverged_means_fail_criterion_six_through_their_checks(tmp_path):
+    # no schedule converges to 1e-300: the limit errors stay inside their
+    # gate, so it is the convergence condition that fails the abel_limit
+    # checks, and through them criterion 6
+    bundle = run(ExperimentConfig(suite="summability", convergence_tol=1e-300,
+                                  output_dir=str(tmp_path)))
+    limits = [c for c in bundle.checks if c.name.startswith("abel_limit")]
+    assert len(limits) == 3
+    for c in limits:
+        assert c.verdict == "fail" and c.measured <= c.tolerance
+    criteria = {c.index: c for c in bundle.criteria}
+    assert criteria[6].verdict == "fail"
+    assert bundle.failed == len(limits) + 1
+    assert "result: FAIL" in bundle.summary_text

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from abelharm import (
-    HalfPlanePoint,
     SampledFunction,
     SupportSpec,
     cauchy_kernel,
@@ -36,13 +35,6 @@ def small_upper_spectrum():
                            SupportSpec.nonneg())
 
 
-def test_half_plane_point_sides():
-    assert HalfPlanePoint(0.0, 1.0).side == "upper"
-    assert HalfPlanePoint(2.0, -0.5).side == "lower"
-    assert HalfPlanePoint(1.0, 0.0).side == "boundary"
-    assert complex(HalfPlanePoint(1.0, 2.0)) == 1.0 + 2.0j
-
-
 def test_split_reassembles_small_grid():
     g = make_grid(1, 40.0, 2 ** 14)
     f = sample_function(g, lambda x: np.exp(-math.pi * x * x) * (1.0 + 0.3j))
@@ -67,11 +59,9 @@ def test_evaluate_upper_closed_form(small_upper_spectrum):
 
 
 def test_evaluate_upper_accepts_points_and_arrays(small_upper_spectrum):
-    p = HalfPlanePoint(0.0, 1.0)
-    a = evaluate_upper(small_upper_spectrum, p)
-    b = evaluate_upper(small_upper_spectrum, 1j)
+    a = evaluate_upper(small_upper_spectrum, 1j)
     c = evaluate_upper(small_upper_spectrum, np.array([1j, 2j]))
-    assert a == b
+    assert isinstance(a, complex)
     assert c.shape == (2,)
     assert c[0] == a
 

@@ -113,7 +113,6 @@ def test_sample_kernel_tags_and_tails():
     g = make_grid(1, 20.0, 256)
     slow = sample_kernel(g, KernelSpec("poisson", 1.0, 1))
     assert slow.decay_tag == "integrable"
-    assert slow.tail_constant > 0
     fast = sample_kernel(g, KernelSpec("abel", 1.0, 1))
     assert fast.decay_tag == "schwartz-like"
     with pytest.raises(ValueError):

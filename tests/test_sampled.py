@@ -12,7 +12,6 @@ from abelharm import (
     poisson_kernel,
     radial_integrate,
     sample_function,
-    truncation_estimate,
 )
 
 
@@ -88,17 +87,6 @@ def test_integration_order_is_deterministic():
     assert len(vals) == 1
 
 
-def test_truncation_estimate_by_tag():
-    g = make_grid(1, 10.0, 1024)
-    sharp = sample_function(g, lambda x: np.exp(-math.pi * x * x))
-    assert truncation_estimate(sharp) < 1e-100
-    flat = sample_function(g, np.cos, decay_tag="bounded-only")
-    assert truncation_estimate(flat) == math.inf
-    tagged = sample_function(g, lambda x: 1.0 / (1.0 + x * x),
-                             decay_tag="integrable", tail_constant=0.2)
-    assert truncation_estimate(tagged) == pytest.approx(0.2)
-
-
 def test_convolve_gaussians_closed_form():
     # variances add under convolution, so the result widens by sqrt(2)
     g = make_grid(1, 12.0, 4096)
@@ -129,6 +117,17 @@ def test_sampled_function_shape_check():
         SampledFunction(g, np.zeros(9))
     with pytest.raises(ValueError):
         SampledFunction(g, np.zeros(8), decay_tag="rapid")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+def test_sampled_function_rejects_non_finite_samples(bad):
+    g = make_grid(1, 1.0, 8)
+    vals = np.ones(8, dtype=complex)
+    vals[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        SampledFunction(g, vals)
+    with pytest.raises(ValueError, match="finite"):
+        sample_function(g, lambda x: np.where(x == x[3], bad, 1.0))
 
 
 def test_radial_integrate_matches_cartesian():

@@ -77,6 +77,18 @@ def test_spectrum_rejects_values_outside_support():
         Spectrum(g, vals, SupportSpec.nonneg())
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.inf, 0.0)])
+def test_spectrum_rejects_non_finite_values_inside_support(bad):
+    g = make_grid(1, 2.0, 64)
+    vals = np.zeros(64, dtype=complex)
+    vals[g.axis() >= 0] = 1.0
+    vals[40] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Spectrum(g, vals, SupportSpec.nonneg())
+    with pytest.raises(ValueError, match="finite"):
+        sample_spectrum(g, lambda xi: np.full(xi.shape, bad), SupportSpec.full_line())
+
+
 def test_forward_ft_gaussian_self_dual():
     g = make_grid(1, 8.0, 4096)
     f = sample_function(g, lambda x: np.exp(-math.pi * x * x))
