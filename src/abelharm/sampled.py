@@ -148,21 +148,71 @@ def sample_function(grid, func, decay_tag="schwartz-like"):
     return SampledFunction(grid, vals.astype(complex), decay_tag)
 
 
-def _compensated_sum(values: np.ndarray) -> complex:
-    # math.fsum is exact for the given addends; summing real and imaginary
-    # parts separately keeps the result bit-reproducible on every build.
-    re = math.fsum(values.real.tolist())
-    im = math.fsum(values.imag.tolist())
-    return complex(re, im)
+# An addend's bucket is its np.frexp exponent, which runs from -1073 (the
+# least subnormal) to 1024, plus _EXP_BIAS; 26 more buckets hold the carry
+# of the high parts (see _exact_sum).
+_EXP_BIAS = 1073
+_BUCKETS = _EXP_BIAS + 1024 + 1 + 26
+# At most 2**24 addends per accumulation keep every bucket sum below 2**53,
+# hence exact; each accumulation runs over cache-sized blocks.
+_CHUNK = 1 << 24
+_BLOCK = 1 << 15
+
+
+def _exact_sum(x: np.ndarray) -> float:
+    """Correctly rounded sum of a real float64 array, equal to ``math.fsum``.
+
+    np.frexp writes each addend exactly as m * 2**e with 0.5 <= |m| < 1, so
+    m * 2**53 is an integer.  Its high part trunc(m * 2**27), an integer
+    below 2**27, and its low part, an integer below 2**26 after scaling,
+    are summed per exponent with np.bincount; over at most 2**24 addends
+    every bucket sum is exact.  The buckets are carried into one Python int
+    in units of 2**-1126, and the final int division rounds correctly, half
+    to even, as math.fsum does.  The result does not depend on the order of
+    the addends, and its bits are those of ``math.fsum(x.tolist())`` with
+    one difference: math.fsum raises on an intermediate overflow, while
+    here a representable exact total is returned.  A total out of range
+    raises OverflowError.  Non-finite addends go to math.fsum, which
+    defines their result.
+    """
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    if not x.any():
+        # only zeros: the sign of their sum is math.fsum's to decide
+        return math.fsum([-0.0] if x.size and np.signbit(x).all() else [])
+    total = 0
+    for start in range(0, x.size, _CHUNK):
+        stop = min(start + _CHUNK, x.size)
+        high = np.zeros(_BUCKETS)
+        low = np.zeros(_BUCKETS)
+        # an inf addend leaves a NaN low part, caught below
+        with np.errstate(invalid="ignore"):
+            for i in range(start, stop, _BLOCK):
+                m, e = np.frexp(x[i:min(i + _BLOCK, stop)])
+                m *= 2.0 ** 27
+                hi = np.trunc(m)
+                m -= hi
+                m *= 2.0 ** 26
+                b = np.add(e, _EXP_BIAS, dtype=np.intp)
+                high += np.bincount(b, weights=hi, minlength=_BUCKETS)
+                low += np.bincount(b, weights=m, minlength=_BUCKETS)
+        if not (np.isfinite(high).all() and np.isfinite(low).all()):
+            return math.fsum(x.tolist())
+        # low[b] counts units of 2**(b - 1126) and high[b] units of
+        # 2**(b - 1100); the merged sums stay below 2**53
+        low[26:] += high[:-26]
+        nonzero = np.flatnonzero(low)
+        for b, v in zip(nonzero.tolist(), low[nonzero].tolist()):
+            total += int(v) << b
+    return total / (1 << (_EXP_BIAS + 53))
 
 
 def integrate(f: SampledFunction) -> complex:
     """Equal-weight quadrature spacing**n * sum of samples.
 
     Rejects ``bounded-only`` functions: without declared decay the box sum
-    does not approximate a convergent improper integral.  Summation is
-    compensated in a fixed lexicographic order, so repeated runs produce
-    bit-identical results.
+    does not approximate a convergent improper integral.  The real and
+    imaginary sums are exact and correctly rounded, so they do not depend
+    on the order of the samples and repeated runs give the same bits.
     """
     if f.decay_tag == "bounded-only":
         raise ValueError(
@@ -170,7 +220,7 @@ def integrate(f: SampledFunction) -> complex:
             "use a damped mean for bounded-only samples"
         )
     weight = f.grid.spacing ** f.grid.n
-    return weight * _compensated_sum(f.values)
+    return weight * complex(_exact_sum(f.values.real), _exact_sum(f.values.imag))
 
 
 def convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:

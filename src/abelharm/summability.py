@@ -9,13 +9,14 @@ the limit along a decreasing schedule of scales.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import abel_kernel, gauss_kernel
-from .sampled import SampledFunction, radial_integrate
+from .sampled import Grid, SampledFunction, _exact_sum, radial_integrate
 
 __all__ = [
     "Schedule",
@@ -93,33 +94,39 @@ def default_schedule(start: float = 0.1, ratio: float = 0.5, steps: int = 12,
 
 def _weighted_mean(h: SampledFunction, weights: np.ndarray) -> complex:
     # Any decay tag is acceptable here: the kernel factor supplies the
-    # integrability that plain quadrature would have to assume.
-    vals = h.values * weights
+    # integrability that plain quadrature would have to assume.  The sums
+    # are exact and correctly rounded, so independent of summation order.
     scale = h.grid.spacing ** h.grid.n
-    re = math.fsum(vals.real.tolist())
-    im = math.fsum(vals.imag.tolist())
+    re = _exact_sum(h.values.real * weights)
+    im = _exact_sum(h.values.imag * weights)
     return scale * complex(re, im)
 
 
-def _radii(h: SampledFunction) -> np.ndarray:
-    if h.grid.n == 1:
-        return np.abs(h.grid.axis())
-    pts = h.grid.lattice()
-    return np.sqrt(np.sum(pts * pts, axis=-1))
+@functools.lru_cache(maxsize=4)
+def _radii(grid: Grid) -> np.ndarray:
+    # every mean over one grid shares these radii; read-only because the
+    # cache hands the same array to every caller
+    if grid.n == 1:
+        r = np.abs(grid.axis())
+    else:
+        pts = grid.lattice()
+        r = np.sqrt(np.sum(pts * pts, axis=-1))
+    r.flags.writeable = False
+    return r
 
 
 def abel_mean(h: SampledFunction, t: float) -> complex:
     """Exponentially damped mean of lattice samples at scale t."""
     if not t > 0:
         raise ValueError(f"scale must be positive, got {t}")
-    return _weighted_mean(h, np.exp(-2.0 * math.pi * t * _radii(h)))
+    return _weighted_mean(h, np.exp(-2.0 * math.pi * t * _radii(h.grid)))
 
 
 def gauss_mean(h: SampledFunction, s: float) -> complex:
     """Gaussian damped mean of lattice samples at scale s."""
     if not s > 0:
         raise ValueError(f"scale must be positive, got {s}")
-    r = _radii(h)
+    r = _radii(h.grid)
     return _weighted_mean(h, np.exp(-math.pi * (s * s) * r * r))
 
 

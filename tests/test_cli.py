@@ -287,5 +287,5 @@ def test_unconverged_means_fail_criterion_six_through_their_checks(tmp_path):
         assert c.verdict == "fail" and c.measured <= c.tolerance
     criteria = {c.index: c for c in bundle.criteria}
     assert criteria[6].verdict == "fail"
-    assert bundle.failed == len(limits) + 1
+    assert bundle.failed == len(limits)
     assert "result: FAIL" in bundle.summary_text

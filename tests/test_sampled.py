@@ -1,18 +1,24 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from abelharm import (
     Grid,
     SampledFunction,
+    abel_mean,
     convolve,
+    gauss_mean,
     integrate,
     make_grid,
     poisson_kernel,
     radial_integrate,
     sample_function,
 )
+from abelharm import sampled
+from abelharm.sampled import _exact_sum
 
 
 def test_grid_axis_endpoints_and_spacing():
@@ -135,3 +141,122 @@ def test_radial_integrate_matches_cartesian():
     assert val == pytest.approx(1.0, abs=1e-12)
     val3 = radial_integrate(lambda r: poisson_kernel(3, 2.0, r), 3)
     assert val3 == pytest.approx(1.0, abs=1e-9)
+
+
+# --- exact summation ------------------------------------------------------
+
+def _bits(v: float) -> bytes:
+    # equal bits, so +0.0 and -0.0 differ
+    return struct.pack("<d", v)
+
+
+def _fsum_oracle(values: np.ndarray) -> complex:
+    # the summation the quadrature and the damped means used before exact
+    # sums: math.fsum over Python lists of the real and imaginary parts
+    return complex(math.fsum(values.real.tolist()), math.fsum(values.imag.tolist()))
+
+
+def _assert_same_complex(got: complex, want: complex):
+    assert (_bits(got.real), _bits(got.imag)) == (_bits(want.real), _bits(want.imag))
+
+
+# every binade from the least subnormal to the largest finite floats
+_wide_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(math.ldexp,
+              st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+              st.integers(-1074, 1023)),
+)
+
+
+def _assert_sum_matches_fsum(xs):
+    try:
+        want = math.fsum(xs)
+    except OverflowError:
+        assume(False)
+    assert _bits(_exact_sum(np.array(xs, dtype=float))) == _bits(want)
+
+
+@given(st.lists(_wide_floats, max_size=60))
+def test_exact_sum_matches_fsum_bits(xs):
+    _assert_sum_matches_fsum(xs)
+
+
+@given(st.lists(_wide_floats, max_size=30), st.randoms(use_true_random=False))
+def test_exact_sum_of_cancelling_terms(xs, rnd):
+    # mixed signs cancelling to exactly 0, in any order
+    terms = xs + [-v for v in xs]
+    rnd.shuffle(terms)
+    _assert_sum_matches_fsum(terms)
+    assert _bits(_exact_sum(np.array(terms, dtype=float))) == _bits(0.0)
+
+
+@pytest.mark.parametrize("xs", [
+    [1.0, 2.0 ** -53],                       # tie, rounds to even 1.0
+    [1.0 + 2.0 ** -52, 2.0 ** -53],          # tie, rounds up to even
+    [-1.0, -(2.0 ** -53)],
+    [1.0, 2.0 ** -53, 2.0 ** -1074],         # just above the tie
+    [2.0 ** 53, 1.0, -(2.0 ** -60)],         # just below the tie
+    [2.0 ** -1074, -(2.0 ** -1074), 2.0 ** -1074],
+    [1e308, -1e308, 5e-324],
+    [],
+    [0.0],
+    [-0.0],
+    [0.0, 0.0, 0.0],
+    [-0.0, -0.0, -0.0],
+    [0.0, -0.0],
+    [-0.0, 0.0, -0.0],
+    [1.0, -1.0, -0.0],
+])
+def test_exact_sum_ties_and_zeros(xs):
+    assert _bits(_exact_sum(np.array(xs, dtype=float))) == _bits(math.fsum(xs))
+
+
+@pytest.mark.parametrize("chunk, block", [(7, 3), (5, 5), (16, 4), (1, 1)])
+def test_exact_sum_across_chunk_and_block_boundaries(monkeypatch, chunk, block):
+    monkeypatch.setattr(sampled, "_CHUNK", chunk)
+    monkeypatch.setattr(sampled, "_BLOCK", block)
+    rng = np.random.default_rng(7)
+    for size in range(0, 3 * chunk + 2 * block + 3):
+        x = rng.standard_normal(size) * np.exp2(rng.integers(-1074, 1000, size))
+        assert _bits(_exact_sum(x)) == _bits(math.fsum(x.tolist()))
+
+
+def test_exact_sum_overflow():
+    # the exact total is out of range
+    with pytest.raises(OverflowError):
+        _exact_sum(np.array([1.7e308, 1.7e308]))
+    # math.fsum overflows on the way; the exact total is representable
+    with pytest.raises(OverflowError):
+        math.fsum([1e308, 1e308, -1e308])
+    assert _exact_sum(np.array([1e308, 1e308, -1e308])) == 1e308
+
+
+def test_exact_sum_defers_non_finite_addends_to_fsum():
+    assert _exact_sum(np.array([1.0, math.inf])) == math.inf
+    assert math.isnan(_exact_sum(np.array([1.0, math.nan])))
+    with pytest.raises(ValueError):
+        _exact_sum(np.array([math.inf, -math.inf]))
+
+
+def _complex_samples(grid):
+    # wide dynamic range in both parts, so the sums carry across many binades
+    def func(x):
+        r = np.abs(x) if grid.n == 1 else np.sqrt(np.sum(x * x, axis=-1))
+        return (np.exp(-r) + 1e-3 / (1.0 + r * r)) * np.exp(3.0j * (r + 0.25))
+    return sample_function(grid, func, decay_tag="integrable")
+
+
+@pytest.mark.parametrize("grid", [make_grid(1, 40.0, 4096), make_grid(2, 8.0, 64)])
+def test_quadrature_and_means_match_fsum_on_complex_samples(grid):
+    f = _complex_samples(grid)
+    assert np.any(f.values.imag != 0.0)
+    r = np.abs(grid.axis()) if grid.n == 1 else np.sqrt(
+        np.sum(grid.lattice() ** 2, axis=-1))
+    weight = grid.spacing ** grid.n
+    _assert_same_complex(integrate(f), weight * _fsum_oracle(f.values))
+    for t in (0.3, 1e-2, 1e-4):
+        damped = f.values * np.exp(-2.0 * math.pi * t * r)
+        _assert_same_complex(abel_mean(f, t), weight * _fsum_oracle(damped))
+        damped = f.values * np.exp(-math.pi * (t * t) * r * r)
+        _assert_same_complex(gauss_mean(f, t), weight * _fsum_oracle(damped))

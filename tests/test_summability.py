@@ -18,7 +18,7 @@ from abelharm import (
     sample_kernel,
     summability_verdict,
 )
-from abelharm.summability import _extrapolate
+from abelharm.summability import _extrapolate, _radii
 
 
 def test_schedule_validation():
@@ -121,3 +121,12 @@ def test_radial_means_higher_dimensions():
     assert 0.95 < val < 1.0
     vg = gauss_mean_radial(lambda r: poisson_kernel(3, 1.0, r), 3, 0.001)
     assert 0.99 < vg < 1.0
+
+
+def test_radii_are_built_once_per_grid_and_read_only():
+    g = make_grid(2, 2.0, 8)
+    r = _radii(g)
+    assert _radii(make_grid(2, 2.0, 8)) is r
+    assert not r.flags.writeable
+    np.testing.assert_array_equal(r, np.sqrt(np.sum(g.lattice() ** 2, axis=-1)))
+    np.testing.assert_array_equal(_radii(make_grid(1, 2.0, 8)), np.abs(g.axis()))
