@@ -41,7 +41,6 @@ from .spectral import (
     forward_ft,
     inverse_ft,
     lattice_sum,
-    phase_sum,
     project_spectrum,
     sample_spectrum,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "forward_ft",
     "inverse_ft",
     "lattice_sum",
-    "phase_sum",
     "project_spectrum",
     "sample_spectrum",
     "Schedule",

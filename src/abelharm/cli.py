@@ -289,6 +289,18 @@ def _g(x: float) -> str:
 # suites
 
 
+def _transform_error(grid, family: str, closed_form):
+    """Lattice transform of the unit 1-D kernel of ``family`` against its closed form.
+
+    Returns the spectrum, its axis, the window |xi| <= 4 and the largest
+    error in that window.
+    """
+    F = forward_ft(sample_kernel(grid, KernelSpec(family, 1.0, 1)))
+    xi = F.grid.axis()
+    win = np.abs(xi) <= 4.0
+    return F, xi, win, float(np.max(np.abs(F.values[win] - closed_form(xi[win]))))
+
+
 def _run_kernels(config: ExperimentConfig):
     checks, tables = [], {}
 
@@ -317,11 +329,8 @@ def _run_kernels(config: ExperimentConfig):
     # the origin aliases like (pi/3) * spacing^2, which caps the achievable
     # accuracy independently of any implementation choice
     grid_id = make_grid(1, config.half_width, config.points)
-    spec_a1 = sample_kernel(grid_id, KernelSpec("abel", 1.0, 1))
-    F = forward_ft(spec_a1)
-    xi = F.grid.axis()
-    win = np.abs(xi) <= 4.0
-    err_id = float(np.max(np.abs(F.values[win] - abel_ft(1, 1.0, xi[win]))))
+    abel_closed = lambda xi: abel_ft(1, 1.0, xi)
+    F, xi, win, err_id = _transform_error(grid_id, "abel", abel_closed)
     floor = (math.pi / 3.0) * grid_id.spacing ** 2
     if err_id <= 1e-6:
         verdict_id = "pass"
@@ -346,21 +355,14 @@ def _run_kernels(config: ExperimentConfig):
     )
 
     # the same identity on a grid fine enough to pass the gate
-    grid_fine = make_grid(1, 40.0, 2 ** 17)
-    F_fine = forward_ft(sample_kernel(grid_fine, KernelSpec("abel", 1.0, 1)))
-    xi_f = F_fine.grid.axis()
-    win_f = np.abs(xi_f) <= 4.0
-    err_fine = float(np.max(np.abs(F_fine.values[win_f] - abel_ft(1, 1.0, xi_f[win_f]))))
+    err_fine = _transform_error(make_grid(1, 40.0, 2 ** 17), "abel", abel_closed)[3]
     checks.append(_check("transform_identity_refined_grid", err_fine, 1e-6,
                          "same identity, N=2^17: the floor scales away as spacing^-2"))
 
     # one-sided kernels: lattice transform against the closed forms
     grid_half = make_grid(1, 40.0, 2 ** 20)
     for sign, fam in (("+", "abel_plus"), ("-", "abel_minus")):
-        Fh = forward_ft(sample_kernel(grid_half, KernelSpec(fam, 1.0, 1)))
-        xih = Fh.grid.axis()
-        winh = np.abs(xih) <= 4.0
-        err = float(np.max(np.abs(Fh.values[winh] - half_kernel_ft(sign, 1.0, xih[winh]))))
+        err = _transform_error(grid_half, fam, lambda xi, sign=sign: half_kernel_ft(sign, 1.0, xi))[3]
         checks.append(_check(f"half_line_transform sign={sign}", err, 1e-4,
                              "jump at the origin costs spacing/2 per frequency"))
     xi_dense = np.linspace(-4.0, 4.0, 1601)

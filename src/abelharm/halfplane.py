@@ -180,6 +180,8 @@ def cauchy_represent(f: SampledFunction, side: str, t: float, x):
     kernel being sampled in closed form at the exact offsets, so no
     interpolation of f is involved.  For f with one-sided spectrum on the
     matching side this reproduces the holomorphic extension at height t.
+    A scalar x gives a complex, an array x the array of its shape;
+    non-finite x raises.
     """
     if not t > 0:
         raise ValueError(f"scale must be positive, got {t}")
@@ -187,15 +189,17 @@ def cauchy_represent(f: SampledFunction, side: str, t: float, x):
         raise ValueError("cauchy_represent requires integrable or schwartz-like samples")
     if f.grid.n != 1:
         raise ValueError("cauchy_represent is defined for 1-D grids")
+    xs = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("evaluation points must be finite")
     xj = f.grid.axis()
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty(xs.shape, dtype=complex)
-    for i, xx in enumerate(xs):
+    out = np.empty(xs.size, dtype=complex)
+    for i, xx in enumerate(xs.ravel()):
         out[i] = np.dot(f.values, cauchy_kernel(side, t, xx - xj))
     out *= f.grid.spacing
-    if np.shape(x) == ():
+    if xs.ndim == 0:
         return complex(out[0])
-    return out
+    return out.reshape(xs.shape)
 
 
 def poisson_extend(f: SampledFunction, t: float) -> SampledFunction:

@@ -95,7 +95,9 @@ class Grid:
         """Frequency grid dual to this one (1-D only).
 
         Spacing 1/(2R) and half-width points/(4R), so the dual of the dual
-        is the original grid.
+        is the original grid up to the last bit of the half-width:
+        ``make_grid(1, 15.296875, 90)`` comes back with half-width
+        15.296875000000002.
         """
         if self.n != 1:
             raise ValueError("reciprocal grid is defined for n = 1 only")

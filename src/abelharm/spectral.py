@@ -2,10 +2,12 @@
 
 The forward transform realizes F(xi) = integral f(x) exp(-2 pi i xi x) dx
 by equal-weight quadrature on the space lattice.  A bare FFT assumes the
-first sample sits at the origin, so the lattice origin at -R is restored
-with an explicit phase factor; the returned spectrum lives on the
-reciprocal grid (spacing 1/(2R), half-width points/(4R)) and matches the
-continuous transform, not the DFT indexing convention.
+first sample sits at the origin; on the lattice x_j = -R + j spacing and
+its reciprocal grid xi_k (spacing 1/(2R), half-width points/(4R)),
+xi_k x_j = N/4 - j/2 - k/2 + jk/N, so the lattice origin at -R is restored
+by the real sign pattern (-1)^(N/2) (-1)^j (-1)^k, exactly and without any
+exponential.  The returned spectrum matches the continuous transform, not
+the DFT indexing convention.
 
 Spectra carry a declared support and enforce exact vanishing outside it,
 which is what makes the half-line splitting downstream an exact partition.
@@ -33,7 +35,6 @@ __all__ = [
     "project_spectrum",
     "abel_regularized_inverse",
     "lattice_sum",
-    "phase_sum",
 ]
 
 _KINDS = ("full_line", "nonneg_halfline", "nonpos_halfline", "interval")
@@ -126,9 +127,20 @@ class Spectrum:
         object.__setattr__(self, "values", vals)
 
 
-def _alternating(N: int) -> np.ndarray:
-    k = np.arange(N)
-    return 1.0 - 2.0 * (k % 2)
+def _centred_dft(values: np.ndarray, spacing: float, inverse: bool) -> np.ndarray:
+    """spacing * sum_j values_j exp(-2 pi i xi_k x_j) between dual lattices.
+
+    ``inverse`` flips the sign of the exponent.  Since xi_k x_j = N/4 - j/2
+    - k/2 + jk/N, the phase is the DFT kernel exp(-2 pi i jk/N) times the
+    real sign (-1)^(N/2) (-1)^j (-1)^k: exact negations before and after an
+    unnormalized FFT, and no exponential.
+    """
+    shifted = values.copy()
+    shifted[1::2] *= -1.0
+    out = np.fft.ifft(shifted, norm="forward") if inverse else np.fft.fft(shifted)
+    out[1::2] *= -1.0
+    out *= spacing if values.size % 4 == 0 else -spacing
+    return out
 
 
 def forward_ft(f: SampledFunction) -> Spectrum:
@@ -144,16 +156,8 @@ def forward_ft(f: SampledFunction) -> Spectrum:
         raise ValueError("forward_ft is defined for 1-D grids")
     if f.decay_tag == "bounded-only":
         raise ValueError("forward_ft requires integrable or schwartz-like samples")
-    N = f.grid.points
-    R = f.grid.half_width
-    recip = f.grid.reciprocal()
-    xi = recip.axis()
-    # (-1)^j recenters the DFT output window; the phase restores the
-    # lattice origin at x_0 = -R.
-    shifted = f.values * _alternating(N)
-    phase = np.exp(-2j * math.pi * xi * (-R))
-    vals = f.grid.spacing * phase * np.fft.fft(shifted)
-    return Spectrum(recip, vals, SupportSpec.full_line())
+    vals = _centred_dft(f.values, f.grid.spacing, inverse=False)
+    return Spectrum(f.grid.reciprocal(), vals, SupportSpec.full_line())
 
 
 def inverse_ft(F: Spectrum) -> SampledFunction:
@@ -162,46 +166,35 @@ def inverse_ft(F: Spectrum) -> SampledFunction:
     Exact inverse of :func:`forward_ft` up to rounding, independent of any
     smoothness: the two lattice transforms are inverse linear maps.
     """
-    N = F.grid.points
-    W = F.grid.half_width
-    space = F.grid.reciprocal()
-    x = space.axis()
-    shifted = F.values * _alternating(N)
-    phase = np.exp(2j * math.pi * x * (-W))
-    vals = F.grid.spacing * N * phase * np.fft.ifft(shifted)
-    return SampledFunction(space, vals, "integrable")
+    vals = _centred_dft(F.values, F.grid.spacing, inverse=True)
+    return SampledFunction(F.grid.reciprocal(), vals, "integrable")
 
 
-def sample_spectrum(grid: Grid, func, support: SupportSpec, edge: str = "midpoint") -> Spectrum:
+def sample_spectrum(grid: Grid, func, support: SupportSpec) -> Spectrum:
     """Sample a closed-form transform on a frequency grid.
 
     Where the declared support has a boundary that lands exactly on a
-    lattice point, the sample there is halved by default (``edge =
-    "midpoint"``).  A truncated transform is a jump discontinuity, and
-    equal-weight quadrature against a jump is second-order accurate only
-    when the jump point carries its midpoint value; keeping the full
-    one-sided value would cost half a lattice weight of error in every
-    quantity computed from the spectrum.  Pass ``edge="value"`` to keep
-    the raw one-sided samples instead.
+    lattice point, the sample there is halved.  A truncated transform is a
+    jump discontinuity, and equal-weight quadrature against a jump is
+    second-order accurate only when the jump point carries its midpoint
+    value; keeping the full one-sided value would cost half a lattice
+    weight of error in every quantity computed from the spectrum.
     """
     if grid.n != 1:
         raise ValueError("spectra live on 1-D frequency grids")
-    if edge not in ("midpoint", "value"):
-        raise ValueError(f"edge must be 'midpoint' or 'value', got {edge!r}")
     xi = grid.axis()
     mask = support.contains(xi)
     vals = np.zeros(grid.points, dtype=complex)
     vals[mask] = np.asarray(func(xi[mask]), dtype=complex)
-    if edge == "midpoint":
-        boundaries = []
-        if support.kind in ("nonneg_halfline", "nonpos_halfline"):
-            boundaries.append(0.0)
-        elif support.kind == "interval":
-            boundaries.append(support.a)
-            if support.b != support.a:
-                boundaries.append(support.b)
-        for bpt in boundaries:
-            vals[xi == bpt] *= 0.5
+    boundaries = []
+    if support.kind in ("nonneg_halfline", "nonpos_halfline"):
+        boundaries.append(0.0)
+    elif support.kind == "interval":
+        boundaries.append(support.a)
+        if support.b != support.a:
+            boundaries.append(support.b)
+    for bpt in boundaries:
+        vals[xi == bpt] *= 0.5
     return Spectrum(grid, vals, support)
 
 
@@ -331,30 +324,6 @@ def lattice_sum(F: Spectrum, z, lo: float | None = None, hi: float | None = None
     start = 0 if lo is None else _count_below(F.grid, lo)
     stop = F.grid.points if hi is None else _count_below(F.grid, hi, inclusive=True)
     return _slice_sum(F, start, max(start, stop), z)
-
-
-def phase_sum(xi: np.ndarray, weights: np.ndarray, z, scale: float):
-    """scale * sum_k weights_k exp(2 pi i z xi_k) on a uniform lattice xi.
-
-    ``xi`` must be uniform (xi_k = xi_0 + k * step to within rounding,
-    either direction); anything else raises.  The sum goes through the
-    same block-factored kernel as every off-lattice evaluation of a
-    spectrum, so it costs about M (N/B + B) exponentials for M points
-    against N weights, B ~ sqrt(N).  Scalar z gives a complex, an array z
-    the array of its shape; non-finite z raises.
-    """
-    xi = np.asarray(xi, dtype=float)
-    weights = np.asarray(weights, dtype=complex)
-    if xi.ndim != 1 or weights.shape != xi.shape:
-        raise ValueError("xi and weights must be 1-D arrays of one length")
-    if not np.all(np.isfinite(xi)):
-        raise ValueError("xi must be finite")
-    xi0 = xi[0] if xi.size else 0.0
-    step = (xi[-1] - xi0) / (xi.size - 1) if xi.size > 1 else 0.0
-    drift = np.abs(xi - (xi0 + step * np.arange(xi.size)))
-    if np.any(drift > 64.0 * np.finfo(float).eps * np.max(np.abs(xi), initial=0.0)):
-        raise ValueError("xi must be a uniform lattice")
-    return _factored_sum(xi0, step, weights, z, scale)
 
 
 def abel_regularized_inverse(F: Spectrum, t: float, x):

@@ -115,6 +115,29 @@ def test_cauchy_represent_matches_spectral(small_upper_spectrum):
     assert abs(got - want) < 1e-3
 
 
+def test_cauchy_represent_keeps_the_shape_of_x():
+    # each point's value is the same alone, in a flat array, or in any
+    # array shape, including one whose last axis is the lattice size
+    g = make_grid(1, 2.0, 8)
+    f = sample_function(g, lambda x: np.exp(-math.pi * x * x))
+    x = g.axis() + 0.1
+    flat = cauchy_represent(f, "upper", 0.5, x)
+    assert flat.shape == (8,)
+    assert np.array_equal(cauchy_represent(f, "upper", 0.5, x[None, :]), flat[None, :])
+    assert np.array_equal(cauchy_represent(f, "upper", 0.5, x.reshape(2, 4)), flat.reshape(2, 4))
+    singles = [cauchy_represent(f, "upper", 0.5, xx) for xx in x]
+    assert all(isinstance(v, complex) for v in singles)
+    assert np.array_equal(np.array(singles), flat)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_cauchy_represent_rejects_non_finite_points(bad):
+    f = sample_function(make_grid(1, 2.0, 8), lambda x: np.exp(-math.pi * x * x))
+    for x in (bad, np.array([0.0, bad])):
+        with pytest.raises(ValueError, match="finite"):
+            cauchy_represent(f, "lower", 0.5, x)
+
+
 def test_poisson_extend_semigroup():
     g = make_grid(1, 100.0, 2 ** 14)
     p1 = sample_kernel(g, KernelSpec("poisson", 1.0, 1))

@@ -1,9 +1,10 @@
 """The factored off-lattice kernel against independent sums.
 
 Every off-lattice evaluation (half-plane extensions, the damped inverse,
-entire extensions, ``phase_sum``) goes through one block-factored lattice
-sum.  The direct sum below, one exponential per term, is its oracle;
-``scipy.signal.czt`` is a second one for points on a horizontal line.
+entire extensions) goes through one block-factored lattice phase sum,
+``spectral._factored_sum``.  The direct sum below, one exponential per
+term, is its oracle; ``scipy.signal.czt`` is a second one for points on a
+horizontal line.
 """
 
 import math
@@ -28,9 +29,9 @@ from abelharm import (
     evaluate_upper,
     lattice_sum,
     make_grid,
-    phase_sum,
     sample_spectrum,
 )
+from abelharm.spectral import _factored_sum
 
 
 def direct_sum(xi, weights, z, scale):
@@ -58,12 +59,13 @@ def test_factored_matches_direct_in_the_half_plane(n, m, side, seed):
     # half-line where exp(2 pi i z xi) decays, so each term is at most
     # |w_k| and the error is measured against scale * sum |w|
     rng = np.random.default_rng(seed)
-    step = rng.uniform(1e-3, 0.05)
-    xi = side * (rng.uniform(0.0, 3.0) + step * np.arange(n))
+    step = side * rng.uniform(1e-3, 0.05)
+    xi0 = side * rng.uniform(0.0, 3.0)
+    xi = xi0 + step * np.arange(n)
     w = _random_weights(rng, n)
     z = rng.uniform(-10.0, 10.0, m) + 1j * side * rng.uniform(0.0, 50.0, m)
     scale = rng.uniform(0.1, 2.0)
-    got = phase_sum(xi, w, z, scale)
+    got = _factored_sum(xi0, step, w, z, scale)
     assert np.max(np.abs(got - direct_sum(xi, w, z, scale))) <= 1e-12 * scale * np.sum(np.abs(w))
 
 
@@ -78,10 +80,11 @@ def test_factored_matches_direct_on_both_sides(n, m, seed):
     # on one side, so each point's error is measured against the sum of
     # its terms' moduli
     rng = np.random.default_rng(seed)
-    xi = np.linspace(-2.0, 2.0, n) if n > 1 else np.array([rng.uniform(-2.0, 2.0)])
+    xi0, step = (-2.0, 4.0 / (n - 1)) if n > 1 else (rng.uniform(-2.0, 2.0), 0.0)
+    xi = xi0 + step * np.arange(n)
     w = _random_weights(rng, n)
     z = rng.uniform(-10.0, 10.0, m) + 1j * rng.uniform(-50.0, 50.0, m)
-    got = phase_sum(xi, w, z, 1.0)
+    got = _factored_sum(xi0, step, w, z, 1.0)
     terms = np.abs(np.exp((2j * math.pi) * z[:, None] * xi[None, :]) * w[None, :])
     assert np.all(np.abs(got - direct_sum(xi, w, z, 1.0)) <= 1e-12 * np.sum(terms, axis=1))
 
@@ -99,7 +102,7 @@ def test_factored_matches_chirp_z(n, height):
     ratio = np.exp(2j * math.pi * step * dx)
     start = np.exp(-2j * math.pi * step * z[0])
     want = 0.5 * np.exp(2j * math.pi * z * xi0) * czt(w, m, ratio, start)
-    got = phase_sum(xi, w, z, 0.5)
+    got = _factored_sum(xi0, step, w, z, 0.5)
     assert np.max(np.abs(got - want)) <= 1e-11 * 0.5 * np.sum(np.abs(w))
 
 
@@ -108,7 +111,7 @@ def test_lower_half_line_stays_finite_far_below_the_axis():
     # anchor (0) by an overflowed within-block factor (inf) here
     xi = -64.0 + 0.5 * np.arange(129)
     w = np.exp(2.0 * math.pi * xi)
-    got = phase_sum(xi, w, 0.3 - 20j, 0.5)
+    got = _factored_sum(-64.0, 0.5, w, 0.3 - 20j, 0.5)
     want = direct_sum(xi, w, 0.3 - 20j, 0.5)[0]
     assert np.isfinite(got)
     assert got == pytest.approx(0.5, rel=1e-14)
@@ -120,27 +123,9 @@ def test_phase_sum_accepts_descending_lattice():
     xi = 1.0 - 0.01 * np.arange(300)
     w = _random_weights(rng, 300)
     z = np.array([0.4 + 2j, -1.0 - 3j, 0.7])
-    got = phase_sum(xi, w, z, 1.0)
+    got = _factored_sum(1.0, -0.01, w, z, 1.0)
     terms = np.abs(np.exp((2j * math.pi) * z[:, None] * xi[None, :]) * w[None, :])
     assert np.all(np.abs(got - direct_sum(xi, w, z, 1.0)) <= 1e-12 * np.sum(terms, axis=1))
-
-
-@pytest.mark.parametrize("xi", [
-    np.arange(10.0) ** 2,
-    np.array([0.0, 1.0, 2.0, 3.5]),
-    np.array([0.0, np.nan, 2.0]),
-    np.array([0.0, 1.0, np.inf]),
-])
-def test_phase_sum_rejects_non_uniform_lattice(xi):
-    with pytest.raises(ValueError):
-        phase_sum(xi, np.ones(xi.size, dtype=complex), 0.5j, 1.0)
-
-
-def test_phase_sum_rejects_shape_mismatch():
-    with pytest.raises(ValueError):
-        phase_sum(np.arange(4.0), np.ones(3), 0.0, 1.0)
-    with pytest.raises(ValueError):
-        phase_sum(np.zeros((2, 2)), np.ones((2, 2)), 0.0, 1.0)
 
 
 def test_points_do_not_depend_on_their_batch():
@@ -235,7 +220,7 @@ def test_entire_and_phase_sum_reject_non_finite_points(spectra, bad):
     with pytest.raises(ValueError, match="finite"):
         evaluate_entire(spectra["band"], np.array([0.0, bad]))
     with pytest.raises(ValueError, match="finite"):
-        phase_sum(np.arange(8.0), np.ones(8), bad, 1.0)
+        _factored_sum(0.0, 1.0, np.ones(8), bad, 1.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -12,12 +12,12 @@ from abelharm import (
     forward_ft,
     inverse_ft,
     make_grid,
-    phase_sum,
     poisson_kernel,
     project_spectrum,
     sample_function,
     sample_spectrum,
 )
+from abelharm.spectral import _factored_sum
 
 
 def test_support_spec_kinds():
@@ -61,13 +61,6 @@ def test_sample_spectrum_halves_boundary_points():
     # trapezoid weighting restores second-order accuracy of the band mass
     mass = float(np.sum(F.values.real)) * g.spacing
     assert mass == pytest.approx(2.0, abs=1e-14)
-
-
-def test_sample_spectrum_full_weight_option():
-    g = make_grid(1, 2.0, 64)
-    F = sample_spectrum(g, lambda xi: np.ones_like(xi), SupportSpec.nonneg(),
-                        edge="value")
-    assert F.values[np.flatnonzero(g.axis() == 0.0)[0]] == 1.0
 
 
 def test_spectrum_rejects_values_outside_support():
@@ -117,6 +110,38 @@ def test_round_trip_is_identity():
     assert np.max(np.abs(back.values - f.values)) < 1e-12
 
 
+# (R, N): N = 2^21 and 2^14 are 0 mod 4, N = 90 and 6 are 2 mod 4
+EXACT_PHASE_GRIDS = [(65536.0, 2 ** 21), (512.0, 2 ** 14), (15.296875, 90), (1.5, 6)]
+
+
+def _unit_sample_at_origin(grid):
+    # the lattice origin is the first point, -R
+    vals = np.zeros(grid.points, dtype=complex)
+    vals[0] = 1.0
+    return vals
+
+
+def _sign_pattern(n):
+    # (-1)^(N/2) (-1)^k: exp(2 pi i xi_k R) on the dual lattices, since
+    # xi_k R = -N/4 + k/2
+    k = np.arange(n)
+    return (-1.0) ** (n // 2) * (1.0 - 2.0 * (k % 2))
+
+
+@pytest.mark.parametrize("half_width, points", EXACT_PHASE_GRIDS)
+def test_forward_ft_of_origin_sample_is_exact_sign_pattern(half_width, points):
+    g = make_grid(1, half_width, points)
+    F = forward_ft(SampledFunction(g, _unit_sample_at_origin(g)))
+    assert np.array_equal(F.values, g.spacing * _sign_pattern(points))
+
+
+@pytest.mark.parametrize("half_width, points", EXACT_PHASE_GRIDS)
+def test_inverse_ft_of_origin_sample_is_exact_sign_pattern(half_width, points):
+    freq = make_grid(1, half_width, points).reciprocal()
+    f = inverse_ft(Spectrum(freq, _unit_sample_at_origin(freq), SupportSpec.full_line()))
+    assert np.array_equal(f.values, freq.spacing * _sign_pattern(points))
+
+
 def test_inverse_of_two_sided_exponential_is_poisson():
     # periodization of the slow 1/x^2 tails controls the error, so the box
     # must be wide; spacing can stay coarse
@@ -152,12 +177,13 @@ def test_project_spectrum_splits_exactly():
 
 
 def test_phase_sum_shapes():
-    xi = np.array([0.0, 0.5, 1.0])
+    # the factored kernel over xi = 0, 0.5, 1: a scalar point gives a
+    # complex, an array of points the array of its shape
     w = np.array([1.0, 1.0, 1.0], dtype=complex)
-    one = phase_sum(xi, w, 0.0, 1.0)
+    one = _factored_sum(0.0, 0.5, w, 0.0, 1.0)
     assert isinstance(one, complex)
     assert one == pytest.approx(3.0)
-    many = phase_sum(xi, w, np.array([0.0, 1.0]), 1.0)
+    many = _factored_sum(0.0, 0.5, w, np.array([0.0, 1.0]), 1.0)
     assert many.shape == (2,)
     assert many[0] == pytest.approx(3.0)
 
