@@ -121,8 +121,8 @@ class Spectrum:
             )
         if not np.all(np.isfinite(vals)):
             raise ValueError("spectrum values must be finite")
-        outside = ~self.support.contains(self.grid.axis())
-        if np.any(vals[outside] != 0):
+        start, stop = _support_range(self.grid, self.support)
+        if vals[:start].any() or vals[stop:].any():
             raise ValueError("spectrum has nonzero values outside its declared support")
         object.__setattr__(self, "values", vals)
 
@@ -182,10 +182,9 @@ def sample_spectrum(grid: Grid, func, support: SupportSpec) -> Spectrum:
     """
     if grid.n != 1:
         raise ValueError("spectra live on 1-D frequency grids")
-    xi = grid.axis()
-    mask = support.contains(xi)
+    start, stop = _support_range(grid, support)
     vals = np.zeros(grid.points, dtype=complex)
-    vals[mask] = np.asarray(func(xi[mask]), dtype=complex)
+    vals[start:stop] = np.asarray(func(grid._axis_range(start, stop)), dtype=complex)
     boundaries = []
     if support.kind in ("nonneg_halfline", "nonpos_halfline"):
         boundaries.append(0.0)
@@ -194,7 +193,8 @@ def sample_spectrum(grid: Grid, func, support: SupportSpec) -> Spectrum:
         if support.b != support.a:
             boundaries.append(support.b)
     for bpt in boundaries:
-        vals[xi == bpt] *= 0.5
+        # the lattice points equal to bpt
+        vals[_count_below(grid, bpt) : _count_below(grid, bpt, inclusive=True)] *= 0.5
     return Spectrum(grid, vals, support)
 
 
@@ -205,8 +205,9 @@ def project_spectrum(F: Spectrum, support: SupportSpec) -> Spectrum:
     nonnegative side), so projecting onto the two half-lines partitions
     any spectrum exactly.
     """
-    mask = support.projection_mask(F.grid.axis())
-    vals = np.where(mask, F.values, 0.0 + 0.0j)
+    start, stop = _support_range(F.grid, support, partition=True)
+    vals = np.zeros(F.grid.points, dtype=complex)
+    vals[start:stop] = F.values[start:stop]
     return Spectrum(F.grid, vals, support)
 
 
@@ -303,6 +304,25 @@ def _count_below(grid: Grid, bound: float, inclusive: bool = False) -> int:
     while k < grid.points and below(k):
         k += 1
     return k
+
+
+def _support_range(grid: Grid, support: SupportSpec, partition: bool = False):
+    """Index range ``(start, stop)`` of the lattice points in ``support``.
+
+    The axis is nondecreasing, so the points in a closed support are a
+    contiguous slice; :func:`_count_below` finds its ends without building
+    the axis, and the slice holds exactly the points selected by
+    ``support.contains(grid.axis())`` (``projection_mask`` if
+    ``partition``, which drops xi = 0 from the nonpositive half-line).
+    """
+    if support.kind == "full_line":
+        return 0, grid.points
+    if support.kind == "nonneg_halfline":
+        return _count_below(grid, 0.0), grid.points
+    if support.kind == "nonpos_halfline":
+        return 0, _count_below(grid, 0.0, inclusive=not partition)
+    start = _count_below(grid, support.a)
+    return start, max(start, _count_below(grid, support.b, inclusive=True))
 
 
 def _slice_sum(F: Spectrum, start: int, stop: int, z):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from abelharm import (
     SampledFunction,
@@ -181,3 +181,60 @@ def test_split_reassembles_random_samples(half_points, half_width, seed):
     assert np.all(plus.values + minus.values == forward_ft(f).values)
     recon = inverse_ft(plus).values + inverse_ft(minus).values
     assert np.max(np.abs(recon - f.values)) <= 1e-12 * np.max(np.abs(f.values))
+
+
+def _direct_cauchy(f, side, t, x):
+    """spacing * sum_j K(x - x_j) f_j, summed exactly, with the closed-form kernel."""
+    terms = cauchy_kernel(side, t, x - f.grid.axis()) * f.values
+    return f.grid.spacing * complex(math.fsum(terms.real), math.fsum(terms.imag))
+
+
+def _assert_matches_direct(f, side, t, x, got):
+    # each point's error is measured against the sum of its terms' moduli
+    for xx, value in zip(x, got):
+        kernel = cauchy_kernel(side, t, xx - f.grid.axis())
+        size = f.grid.spacing * np.sum(np.abs(kernel) * np.abs(f.values))
+        assert abs(value - _direct_cauchy(f, side, t, xx)) <= 1e-12 * size
+
+
+def _random_samples(rng, grid):
+    return SampledFunction(grid, rng.standard_normal(grid.points) + 1j * rng.standard_normal(grid.points))
+
+
+@given(
+    half_points=st.integers(2, 1500),
+    half_width=st.floats(0.5, 50.0),
+    m=st.integers(1, 20),
+    side=st.sampled_from(("upper", "lower")),
+    t=st.floats(0.01, 5.0),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+@example(half_points=5000, half_width=40.0, m=9, side="upper", t=0.25, seed=0)
+@example(half_points=2, half_width=0.5, m=1, side="lower", t=0.01, seed=1)
+def test_cauchy_represent_matches_direct_sum(half_points, half_width, m, side, t, seed):
+    # the blocked real-arithmetic sum against the closed-form kernel,
+    # summed term by term
+    rng = np.random.default_rng(seed)
+    g = make_grid(1, half_width, 2 * half_points)
+    f = _random_samples(rng, g)
+    x = rng.uniform(-2.0 * half_width, 2.0 * half_width, m)
+    _assert_matches_direct(f, side, t, x, cauchy_represent(f, side, t, x))
+
+
+# (lattice chunk, lattice points); None is one chunk longer than the lattice
+@pytest.mark.parametrize("chunk, points", [(1, 130), (7, 1030), (None, 130), (None, 2 ** 16)])
+@pytest.mark.parametrize("side", ["upper", "lower"])
+def test_cauchy_points_do_not_depend_on_their_batch(monkeypatch, chunk, points, side):
+    # whatever the lattice chunk, each point's bits are the same alone, in
+    # a batch (the last one short), in reverse order and in a shorter batch
+    from abelharm import halfplane
+
+    g = make_grid(1, 3.0, points)
+    f = _random_samples(np.random.default_rng(7), g)
+    monkeypatch.setattr(halfplane, "_CAUCHY_CHUNK", points + 1 if chunk is None else chunk)
+    x = np.linspace(-4.0, 4.0, 11)
+    batch = cauchy_represent(f, side, 0.3, x)
+    assert np.array_equal(cauchy_represent(f, side, 0.3, x[::-1])[::-1], batch)
+    assert np.array_equal(cauchy_represent(f, side, 0.3, x[1:]), batch[1:])
+    assert np.array_equal(np.array([cauchy_represent(f, side, 0.3, xx) for xx in x]), batch)
+    _assert_matches_direct(f, side, 0.3, x, batch)

@@ -232,17 +232,21 @@ def test_damped_inverse_rejects_non_finite_points(spectra, bad):
 _THREADING_PROBE = textwrap.dedent("""
     import hashlib, math, sys
     import numpy as np
-    from abelharm import (SupportSpec, evaluate_entire, evaluate_upper, make_grid,
-                          measure_real_bound, sample_spectrum)
+    from abelharm import (KernelSpec, SupportSpec, cauchy_represent, evaluate_entire,
+                          evaluate_upper, inverse_ft, make_grid, poisson_extend,
+                          sample_kernel, sample_spectrum)
     freq = make_grid(1, 65536.0, 2 ** 21).reciprocal()
     w_exp = sample_spectrum(freq, lambda xi: np.exp(-2.0 * math.pi * xi), SupportSpec.nonneg())
     upper = evaluate_upper(w_exp, np.linspace(-2.0, 2.0, 25) + 0.5j)
+    cauchy = cauchy_represent(inverse_ft(w_exp), "upper", 0.5, np.linspace(-2.0, 2.0, 25))
+    small = make_grid(1, 100.0, 2 ** 14)
+    extension = poisson_extend(sample_kernel(small, KernelSpec("poisson", 1.0, 1)), 0.5).values
     band = sample_spectrum(make_grid(1, 2.0, 2048), np.ones_like, SupportSpec.interval(-1.0, 1.0))
     xs, ys = np.linspace(-5.0, 5.0, 21), np.linspace(-3.0, 3.0, 13)
     entire = evaluate_entire(band, xs[None, :] + 1j * ys[:, None])
     axis = evaluate_entire(band, np.arange(-50.0, 50.005, 0.01))
     sha = hashlib.sha256()
-    for arr in (upper, entire, axis):
+    for arr in (upper, cauchy, extension, entire, axis):
         sha.update(np.ascontiguousarray(arr).tobytes())
     sys.stdout.write(sha.hexdigest())
 """)

@@ -3,7 +3,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from abelharm import (
     Grid,
@@ -113,8 +113,64 @@ def test_convolve_2d_preserves_mass():
 def test_convolve_requires_matching_grids():
     f = sample_function(make_grid(1, 4.0, 64), lambda x: np.exp(-x * x))
     g = sample_function(make_grid(1, 4.0, 128), lambda x: np.exp(-x * x))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="same grid"):
         convolve(f, g)
+
+
+def _fftn_convolution(f, g):
+    """The padded linear convolution by complex transforms."""
+    n, N = f.grid.n, f.grid.points
+    shape, padded, axes = (N,) * n, (2 * N,) * n, tuple(range(n))
+    c = np.fft.ifftn(np.fft.fftn(f.values.reshape(shape), s=padded, axes=axes)
+                     * np.fft.fftn(g.values.reshape(shape), s=padded, axes=axes), axes=axes)
+    return f.grid.spacing ** n * c[(slice(N // 2, N // 2 + N),) * n].ravel()
+
+
+_PARTS = {
+    "real": lambda rng, k: rng.standard_normal(k),
+    "imaginary": lambda rng, k: 1j * rng.standard_normal(k),
+    "complex": lambda rng, k: rng.standard_normal(k) + 1j * rng.standard_normal(k),
+    "zero": lambda rng, k: np.zeros(k),
+}
+
+
+@given(
+    n=st.sampled_from((1, 2)),
+    half_points=st.integers(2, 40),
+    half_width=st.floats(0.5, 20.0),
+    kinds=st.tuples(st.sampled_from(sorted(_PARTS)), st.sampled_from(sorted(_PARTS))),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+@example(n=1, half_points=2 ** 12, half_width=30.0, kinds=("real", "real"), seed=0)
+@example(n=2, half_points=32, half_width=4.0, kinds=("complex", "complex"), seed=1)
+@example(n=2, half_points=16, half_width=4.0, kinds=("complex", "real"), seed=2)
+def test_convolve_matches_complex_transforms(n, half_points, half_width, kinds, seed):
+    # real-transform convolution against complex transforms, for every mix
+    # of real, imaginary, complex and zero factors
+    rng = np.random.default_rng(seed)
+    g = make_grid(n, half_width, 2 * half_points)
+    f, h = (SampledFunction(g, _PARTS[kind](rng, g.size)) for kind in kinds)
+    got = convolve(f, h).values
+    scale = np.sum(np.abs(f.values)) * np.sum(np.abs(h.values)) * g.spacing ** n
+    assert np.max(np.abs(got - _fftn_convolution(f, h))) <= 1e-13 * scale
+    if all(kind in ("real", "zero") for kind in kinds):
+        assert np.all(got.imag == 0.0)
+
+
+@pytest.mark.parametrize("tags, want", [
+    (("schwartz-like", "schwartz-like"), "schwartz-like"),
+    (("schwartz-like", "integrable"), "integrable"),
+    (("integrable", "schwartz-like"), "integrable"),
+    (("integrable", "integrable"), "integrable"),
+])
+def test_convolve_decay_tag_rule(tags, want):
+    g = make_grid(1, 4.0, 64)
+    f, h = (sample_function(g, lambda x: np.exp(-x * x), decay_tag=tag) for tag in tags)
+    assert convolve(f, h).decay_tag == want
+    bounded = sample_function(g, np.cos, decay_tag="bounded-only")
+    for pair in ((f, bounded), (bounded, h)):
+        with pytest.raises(ValueError, match="integrable or schwartz-like"):
+            convolve(*pair)
 
 
 def test_sampled_function_shape_check():

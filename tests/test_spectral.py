@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from abelharm import (
     SampledFunction,
@@ -221,3 +221,88 @@ def test_round_trip_is_identity_on_random_grids(half_points, half_width, seed):
     assert back.grid.points == g.points
     assert back.grid.half_width == pytest.approx(g.half_width, rel=1e-15)
     assert np.max(np.abs(back.values - f.values)) <= 1e-12 * np.max(np.abs(f.values))
+
+
+def _masked_sample(xi, support):
+    # sample_spectrum by masks on the axis: the support's points, with the
+    # points on a boundary halved
+    mask = support.contains(xi)
+    vals = np.zeros(xi.size, dtype=complex)
+    vals[mask] = np.exp(-xi[mask] * xi[mask]) + 1j * xi[mask]
+    ends = {"nonneg_halfline": [0.0], "nonpos_halfline": [0.0], "full_line": [],
+            "interval": sorted({support.a, support.b})}[support.kind]
+    for end in ends:
+        vals[xi == end] *= 0.5
+    return vals
+
+
+def _supports(xi, ends, nudge):
+    # every support kind; the interval ends sit on lattice points or a
+    # fraction of a step off them
+    lo, hi = (xi[0] + (xi[1] - xi[0]) * (e + nudge) for e in sorted(ends))
+    return [SupportSpec.full_line(), SupportSpec.nonneg(), SupportSpec.nonpos(),
+            SupportSpec.interval(lo, hi)]
+
+
+@given(
+    half_points=st.integers(2, 300),
+    half_width=st.floats(0.5, 100.0),
+    ends=st.tuples(st.integers(-2, 601), st.integers(-2, 601)),
+    nudge=st.sampled_from((0.0, 0.5, -1e-12)),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+@example(half_points=45, half_width=15.296875, ends=(44, 46), nudge=0.0, seed=0)
+@example(half_points=3, half_width=15.296875, ends=(3, 3), nudge=0.0, seed=1)
+@example(half_points=32, half_width=8.0, ends=(32, 40), nudge=0.0, seed=2)
+def test_projection_by_index_range_equals_the_mask(half_points, half_width, ends, nudge, seed):
+    # make_grid(1, 15.296875, 90).reciprocal() has no lattice point at 0:
+    # its middle point is 2.2e-16
+    rng = np.random.default_rng(seed)
+    freq = make_grid(1, half_width, 2 * half_points).reciprocal()
+    xi = freq.axis()
+    vals = rng.standard_normal(freq.points) + 1j * rng.standard_normal(freq.points)
+    vals[rng.random(freq.points) < 0.2] = -0.0
+    F = Spectrum(freq, vals, SupportSpec.full_line())
+    for support in _supports(xi, ends, nudge):
+        want = np.where(support.projection_mask(xi), F.values, 0.0 + 0.0j)
+        assert project_spectrum(F, support).values.tobytes() == want.tobytes()
+        sampled = sample_spectrum(freq, lambda x: np.exp(-x * x) + 1j * x, support)
+        assert sampled.values.tobytes() == _masked_sample(xi, support).tobytes()
+
+
+# (R, N) of the space grid; the frequency grid of (15.296875, 90) has no
+# lattice point at 0
+SUPPORT_GRIDS = [(2.0, 64), (15.296875, 90), (1.5, 6)]
+
+
+def _one_nonzero(grid, k):
+    vals = np.zeros(grid.points, dtype=complex)
+    vals[k] = 1.0
+    return vals
+
+
+@pytest.mark.parametrize("half_width, points", SUPPORT_GRIDS)
+def test_spectrum_rejects_a_nonzero_just_outside_its_support(half_width, points):
+    # one nonzero sample at the lattice point just outside the support
+    # raises; at its neighbour just inside, it is accepted
+    freq = make_grid(1, half_width, points).reciprocal()
+    xi = freq.axis()
+    before_zero = int(np.flatnonzero(xi < 0.0)[-1])
+    after_zero = int(np.flatnonzero(xi > 0.0)[0])
+    cases = [(SupportSpec.nonneg(), before_zero, before_zero + 1),
+             (SupportSpec.nonpos(), after_zero, after_zero - 1)]
+    for a, b in ((1, points - 2), (2, 2)):
+        for nudge in (0.0, 0.5):
+            band = SupportSpec.interval(xi[a] - nudge * freq.spacing, xi[b] + nudge * freq.spacing)
+            cases += [(band, a - 1, a), (band, b + 1, b)]
+    for support, outside, inside in cases:
+        with pytest.raises(ValueError, match="outside its declared support"):
+            Spectrum(freq, _one_nonzero(freq, outside), support)
+        Spectrum(freq, _one_nonzero(freq, inside), support)
+
+
+def test_half_lines_accept_a_nonzero_at_the_origin():
+    freq = make_grid(1, 2.0, 64).reciprocal()
+    zero = int(np.flatnonzero(freq.axis() == 0.0)[0])
+    for support in (SupportSpec.nonneg(), SupportSpec.nonpos()):
+        assert Spectrum(freq, _one_nonzero(freq, zero), support).values[zero] == 1.0
