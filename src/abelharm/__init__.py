@@ -51,7 +51,6 @@ from .summability import (
     abel_mean_radial,
     default_schedule,
     gauss_mean,
-    gauss_mean_radial,
     summability_verdict,
 )
 from .halfplane import (
@@ -108,7 +107,6 @@ __all__ = [
     "abel_mean_radial",
     "default_schedule",
     "gauss_mean",
-    "gauss_mean_radial",
     "summability_verdict",
     "HalfPlaneField",
     "cauchy_kernel",

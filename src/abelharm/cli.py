@@ -79,7 +79,6 @@ __all__ = [
     "CriterionOutcome",
     "ReportBundle",
     "run",
-    "dump_field",
     "main",
 ]
 
@@ -258,16 +257,6 @@ def _field_table(fld: HalfPlaneField):
             v = fld.values[i, j]
             rows.append((float(x), float(y), float(v.real), float(v.imag)))
     return header, rows
-
-
-def dump_field(fld: HalfPlaneField, path: str) -> None:
-    """Write a half-plane field as plot-ready CSV.
-
-    Columns x,y,re,im; rows run row-major over (y, x).  Floats are encoded
-    as shortest round-trip decimals.
-    """
-    header, rows = _field_table(fld)
-    _write(path, _render_table(header, rows))
 
 
 def _write(path: str, text: str) -> None:

@@ -47,6 +47,11 @@ class GrowthReport:
     sigma_estimate: float
 
 
+def _require_band(F: Spectrum, what: str) -> None:
+    if not (math.isfinite(F.support.a) and math.isfinite(F.support.b)):
+        raise ValueError(f"{what} requires a bounded interval support")
+
+
 def evaluate_entire(F: Spectrum, z):
     """Entire extension of an interval-supported spectrum.
 
@@ -54,9 +59,8 @@ def evaluate_entire(F: Spectrum, z):
     finite complex z: the bounded support caps the exponential factor on
     any horizontal strip.  ``z`` may be scalar or an array.
     """
-    if F.support.kind != "interval":
-        raise ValueError("entire evaluation requires a bounded interval support")
-    return lattice_sum(F, z, F.support.a, F.support.b)
+    _require_band(F, "entire evaluation")
+    return lattice_sum(F, z)
 
 
 def envelope_bound(F: Spectrum, y: float) -> float:
@@ -66,8 +70,7 @@ def envelope_bound(F: Spectrum, y: float) -> float:
     |F| controls the modulus on the axis, and the exponential factor is
     maximized at an endpoint of the support because it is monotone in xi.
     """
-    if F.support.kind != "interval":
-        raise ValueError("envelope_bound requires a bounded interval support")
+    _require_band(F, "envelope_bound")
     mass = F.grid.spacing * float(np.sum(np.abs(F.values)))
     a, b = F.support.a, F.support.b
     return mass * math.exp(max(-2.0 * math.pi * a * y, -2.0 * math.pi * b * y))
@@ -151,8 +154,7 @@ def check_pl_bound(F: Spectrum, sigma: float, B_mode: str, lattice, tol: float =
     """
     if B_mode not in ("measured", "supplied"):
         raise ValueError(f"B_mode must be 'measured' or 'supplied', got {B_mode!r}")
-    if F.support.kind != "interval":
-        raise ValueError("check_pl_bound requires a bounded interval support")
+    _require_band(F, "check_pl_bound")
     xs = np.asarray(lattice[0], dtype=float)
     ys = np.asarray(lattice[1], dtype=float)
     if xs.size == 0 or ys.size == 0:

@@ -90,12 +90,11 @@ def hardy_split(f: SampledFunction):
 def _require_side(F: Spectrum, side: str | None = None) -> str:
     """The half-plane F extends to, or a check that it extends to ``side``.
 
-    A one-sided interval touching 0 at both ends (a point spectrum at the
-    origin) extends to both; asked for no side, it reports the upper one.
+    A support [a, b] with a >= 0 extends to the upper side, one with b <= 0
+    to the lower side; the point spectrum [0, 0] extends to both, and
+    asked for no side, it reports the upper one.
     """
-    kind = F.support.kind
-    upper = kind == "nonneg_halfline" or (kind == "interval" and F.support.a >= 0)
-    lower = kind == "nonpos_halfline" or (kind == "interval" and F.support.b <= 0)
+    upper, lower = F.support.a >= 0.0, F.support.b <= 0.0
     if side is None:
         if upper or lower:
             return "upper" if upper else "lower"
@@ -119,9 +118,7 @@ def _evaluate_side(F: Spectrum, z, side: str):
         # The integrand exp(2 pi i z xi) grows without bound on the wrong
         # side, so this is a domain error rather than a value to report.
         raise ValueError(f"evaluation point must lie in the {label}")
-    if side == "upper":
-        return lattice_sum(F, zs, lo=0.0)
-    return lattice_sum(F, zs, hi=0.0)
+    return lattice_sum(F, zs)
 
 
 def evaluate_upper(F: Spectrum, z):

@@ -10,7 +10,7 @@ compatible with transform-based convolution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate as _sci_integrate
@@ -61,6 +61,8 @@ class Grid:
     n: int
     half_width: float
     points: int
+    # the grid this one is the reciprocal of, if it was built that way
+    _dual: "Grid | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n not in (1, 2, 3):
@@ -98,14 +100,18 @@ class Grid:
     def reciprocal(self) -> "Grid":
         """Frequency grid dual to this one (1-D only).
 
-        Spacing 1/(2R) and half-width points/(4R), so the dual of the dual
-        is the original grid up to the last bit of the half-width:
-        ``make_grid(1, 15.296875, 90)`` comes back with half-width
-        15.296875000000002.
+        Spacing 1/(2R) and half-width points/(4R).  The dual of the dual is
+        the original grid itself: recomputed, its half-width could miss the
+        last bit (``make_grid(1, 15.296875, 90)`` would come back with
+        15.296875000000002), so a dual remembers the grid it came from.
         """
         if self.n != 1:
             raise ValueError("reciprocal grid is defined for n = 1 only")
-        return Grid(1, self.points / (4.0 * self.half_width), self.points)
+        if self._dual is not None:
+            return self._dual
+        dual = Grid(1, self.points / (4.0 * self.half_width), self.points)
+        object.__setattr__(dual, "_dual", self)
+        return dual
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,14 @@ by the real sign pattern (-1)^(N/2) (-1)^j (-1)^k, exactly and without any
 exponential.  The returned spectrum matches the continuous transform, not
 the DFT indexing convention.
 
-Spectra carry a declared support and enforce exact vanishing outside it,
-which is what makes the half-line splitting downstream an exact partition.
+Spectra carry a declared support, one closed interval [a, b] whose ends
+may be infinite, and enforce exact vanishing outside it, which is what
+makes the half-line splitting downstream an exact partition.
 
 Every off-lattice evaluation of a spectrum (half-plane, damped and entire
-extensions) is one lattice sum over a contiguous range of frequencies,
-:func:`lattice_sum`, computed by a block-factored kernel.
+extensions) sums exactly the lattice points of its declared support,
+one contiguous range of frequencies, by a block-factored kernel
+(:func:`lattice_sum`).
 """
 
 from __future__ import annotations
@@ -37,66 +39,59 @@ __all__ = [
     "lattice_sum",
 ]
 
-_KINDS = ("full_line", "nonneg_halfline", "nonpos_halfline", "interval")
-
-
 @dataclass(frozen=True)
 class SupportSpec:
-    """Declared spectral support: the whole line, a half-line, or [a, b]."""
+    """Declared spectral support: the closed interval [a, b].
 
-    kind: str
-    a: float | None = None
-    b: float | None = None
+    Either end may be infinite; the default (-inf, inf) is the whole line,
+    and [0, inf) and (-inf, 0] are the two half-lines of the Hardy split.
+    """
+
+    a: float = -math.inf
+    b: float = math.inf
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown support kind {self.kind!r}")
-        if self.kind == "interval":
-            if self.a is None or self.b is None:
-                raise ValueError("interval support requires both endpoints")
-            if not self.a <= self.b:
-                raise ValueError(f"interval requires a <= b, got [{self.a}, {self.b}]")
-        elif self.a is not None or self.b is not None:
-            raise ValueError("endpoints are only meaningful for intervals")
+        a, b = float(self.a), float(self.b)
+        if not (a <= b and a < math.inf and b > -math.inf):
+            raise ValueError(f"support must be a nonempty closed interval, got [{a}, {b}]")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @classmethod
     def full_line(cls):
-        return cls("full_line")
+        return cls()
 
     @classmethod
     def nonneg(cls):
         """Support contained in [0, inf)."""
-        return cls("nonneg_halfline")
+        return cls(a=0.0)
 
     @classmethod
     def nonpos(cls):
         """Support contained in (-inf, 0]."""
-        return cls("nonpos_halfline")
+        return cls(b=0.0)
 
     @classmethod
     def interval(cls, a: float, b: float):
-        return cls("interval", float(a), float(b))
+        return cls(a, b)
 
     def contains(self, xi: np.ndarray) -> np.ndarray:
         """Closed-set membership mask; used to validate spectra."""
-        if self.kind == "full_line":
-            return np.ones(np.shape(xi), dtype=bool)
-        if self.kind == "nonneg_halfline":
-            return np.asarray(xi) >= 0.0
-        if self.kind == "nonpos_halfline":
-            return np.asarray(xi) <= 0.0
-        return (np.asarray(xi) >= self.a) & (np.asarray(xi) <= self.b)
+        xi = np.asarray(xi)
+        return (xi >= self.a) & (xi <= self.b)
 
     def projection_mask(self, xi: np.ndarray) -> np.ndarray:
         """Partition mask used when splitting a spectrum.
 
         Differs from :meth:`contains` in one point only: xi = 0 belongs to
-        the nonnegative side, so the two half-line projections of any
-        spectrum sum back to it exactly.
+        the nonnegative side, so a support [a, 0] with a < 0 (the
+        nonpositive half-line among them) drops it, and the two half-line
+        projections of any spectrum sum back to it exactly.
         """
-        if self.kind == "nonpos_halfline":
-            return np.asarray(xi) < 0.0
-        return self.contains(xi)
+        mask = self.contains(xi)
+        if self.a < 0.0 and self.b == 0.0:
+            mask &= np.asarray(xi) < 0.0
+        return mask
 
 
 @dataclass(frozen=True)
@@ -173,8 +168,8 @@ def inverse_ft(F: Spectrum) -> SampledFunction:
 def sample_spectrum(grid: Grid, func, support: SupportSpec) -> Spectrum:
     """Sample a closed-form transform on a frequency grid.
 
-    Where the declared support has a boundary that lands exactly on a
-    lattice point, the sample there is halved.  A truncated transform is a
+    Where a finite end of the declared support lands exactly on a lattice
+    point, the sample there is halved.  A truncated transform is a
     jump discontinuity, and equal-weight quadrature against a jump is
     second-order accurate only when the jump point carries its midpoint
     value; keeping the full one-sided value would cost half a lattice
@@ -185,25 +180,18 @@ def sample_spectrum(grid: Grid, func, support: SupportSpec) -> Spectrum:
     start, stop = _support_range(grid, support)
     vals = np.zeros(grid.points, dtype=complex)
     vals[start:stop] = np.asarray(func(grid._axis_range(start, stop)), dtype=complex)
-    boundaries = []
-    if support.kind in ("nonneg_halfline", "nonpos_halfline"):
-        boundaries.append(0.0)
-    elif support.kind == "interval":
-        boundaries.append(support.a)
-        if support.b != support.a:
-            boundaries.append(support.b)
-    for bpt in boundaries:
-        # the lattice points equal to bpt
-        vals[_count_below(grid, bpt) : _count_below(grid, bpt, inclusive=True)] *= 0.5
+    for end in {support.a, support.b} - {-math.inf, math.inf}:
+        # the lattice points equal to end
+        vals[_count_below(grid, end) : _count_below(grid, end, inclusive=True)] *= 0.5
     return Spectrum(grid, vals, support)
 
 
 def project_spectrum(F: Spectrum, support: SupportSpec) -> Spectrum:
     """Zero everything outside ``support`` and redeclare the support.
 
-    The nonpositive half-line projection drops xi = 0 (it belongs to the
-    nonnegative side), so projecting onto the two half-lines partitions
-    any spectrum exactly.
+    A support [a, 0] with a < 0, the nonpositive half-line among them,
+    drops xi = 0 (it belongs to the nonnegative side), so projecting onto
+    the two half-lines partitions any spectrum exactly.
     """
     start, stop = _support_range(F.grid, support, partition=True)
     vals = np.zeros(F.grid.points, dtype=complex)
@@ -313,16 +301,11 @@ def _support_range(grid: Grid, support: SupportSpec, partition: bool = False):
     contiguous slice; :func:`_count_below` finds its ends without building
     the axis, and the slice holds exactly the points selected by
     ``support.contains(grid.axis())`` (``projection_mask`` if
-    ``partition``, which drops xi = 0 from the nonpositive half-line).
+    ``partition``, which drops xi = 0 from a support [a, 0] with a < 0).
     """
-    if support.kind == "full_line":
-        return 0, grid.points
-    if support.kind == "nonneg_halfline":
-        return _count_below(grid, 0.0), grid.points
-    if support.kind == "nonpos_halfline":
-        return 0, _count_below(grid, 0.0, inclusive=not partition)
-    start = _count_below(grid, support.a)
-    return start, max(start, _count_below(grid, support.b, inclusive=True))
+    drop_zero = partition and support.a < 0.0 and support.b == 0.0
+    return (_count_below(grid, support.a),
+            _count_below(grid, support.b, inclusive=not drop_zero))
 
 
 def _slice_sum(F: Spectrum, start: int, stop: int, z):
@@ -332,18 +315,16 @@ def _slice_sum(F: Spectrum, start: int, stop: int, z):
                          F.values[start:stop], z, g.spacing)
 
 
-def lattice_sum(F: Spectrum, z, lo: float | None = None, hi: float | None = None):
-    """spacing * sum_{lo <= xi_k <= hi} F_k exp(2 pi i z xi_k).
+def lattice_sum(F: Spectrum, z):
+    """spacing * sum_{a <= xi_k <= b} F_k exp(2 pi i z xi_k) over F's support [a, b].
 
     The off-lattice evaluation of every extension: the lattice points in
-    the closed range [lo, hi] (``None``: unbounded) are a contiguous slice
-    of the spectrum, summed by the factored kernel without copying.  Scalar
-    z gives a complex, an array z the array of its shape; non-finite z
-    raises.
+    the declared support are a contiguous slice of the spectrum, summed by
+    the factored kernel without copying, and the zeros outside it are not
+    summed at all.  Scalar z gives a complex, an array z the array of its
+    shape; non-finite z raises.
     """
-    start = 0 if lo is None else _count_below(F.grid, lo)
-    stop = F.grid.points if hi is None else _count_below(F.grid, hi, inclusive=True)
-    return _slice_sum(F, start, max(start, stop), z)
+    return _slice_sum(F, *_support_range(F.grid, F.support), z)
 
 
 def abel_regularized_inverse(F: Spectrum, t: float, x):
@@ -358,12 +339,14 @@ def abel_regularized_inverse(F: Spectrum, t: float, x):
     ``x`` may be a scalar or an array; the evaluation is an explicit sum
     over the frequency lattice, not a transform, because x need not be a
     lattice point.  The damping is folded into the exponent: the
-    nonnegative frequencies are summed at x + it and the negative ones at
-    x - it, so no damped copy of the spectrum is made.
+    nonnegative frequencies of the support are summed at x + it and the
+    negative ones at x - it, so no damped copy of the spectrum is made,
+    and a one-sided spectrum sums one side only.
     """
     if not t > 0:
         raise ValueError(f"scale must be positive, got {t}")
-    zero = _count_below(F.grid, 0.0)
+    start, stop = _support_range(F.grid, F.support)
+    zero = min(max(_count_below(F.grid, 0.0), start), stop)
     x = np.asarray(x)
-    return (_slice_sum(F, 0, zero, x - 1j * t)
-            + _slice_sum(F, zero, F.grid.points, x + 1j * t))
+    return (_slice_sum(F, start, zero, x - 1j * t)
+            + _slice_sum(F, zero, stop, x + 1j * t))

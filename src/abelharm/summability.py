@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import abel_kernel, gauss_kernel
+from .kernels import abel_kernel
 from .sampled import Grid, SampledFunction, _exact_sum, radial_integrate
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "abel_mean",
     "gauss_mean",
     "abel_mean_radial",
-    "gauss_mean_radial",
     "summability_verdict",
 ]
 
@@ -140,13 +139,6 @@ def abel_mean_radial(profile, n: int, t: float, upper: float = math.inf) -> floa
     if not t > 0:
         raise ValueError(f"scale must be positive, got {t}")
     return radial_integrate(lambda r: profile(r) * abel_kernel(t, r), n, upper)
-
-
-def gauss_mean_radial(profile, n: int, s: float, upper: float = math.inf) -> float:
-    """Gaussian analogue of :func:`abel_mean_radial`."""
-    if not s > 0:
-        raise ValueError(f"scale must be positive, got {s}")
-    return radial_integrate(lambda r: profile(r) * gauss_kernel(s, r), n, upper)
 
 
 def _extrapolate(ts, means):

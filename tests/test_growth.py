@@ -37,6 +37,12 @@ def test_requires_interval_support():
         envelope_bound(F, 1.0)
     with pytest.raises(ValueError):
         estimate_type(F, (2.0, 3.0, 4.0))
+    # a half-line declared as an interval is still unbounded
+    half = sample_spectrum(g, lambda xi: np.exp(-xi * xi), SupportSpec.interval(0.0, math.inf))
+    for call in (lambda: envelope_bound(half, -1.0), lambda: evaluate_entire(half, 1j),
+                 lambda: check_pl_bound(half, 1.0, "supplied", ([0.0], [1.0]), B=1.0)):
+        with pytest.raises(ValueError, match="bounded interval support"):
+            call()
 
 
 def test_evaluate_entire_matches_sinc(flat_band):

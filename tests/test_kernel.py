@@ -163,18 +163,22 @@ def test_batches_of_the_product_do_not_change_the_bits(monkeypatch):
 @example(half_points=40960, half_width=128.0, ends=(40960, 40960), nudge=0.0)
 def test_lattice_sum_takes_exactly_the_points_in_range(half_points, half_width, ends, nudge):
     # values 1 + ik make the sum at z = 0 read back how many points were
-    # taken (real part) and which (imaginary part), against the same range
-    # selected by a mask on the axis
+    # taken (real part) and which (imaginary part), against the declared
+    # support selected by a mask on the axis
     freq = make_grid(1, half_width, 2 * half_points).reciprocal()
     xi = freq.axis()
     k = np.arange(freq.points)
-    F = Spectrum(freq, 1.0 + 1j * k, SupportSpec.full_line())
     lo, hi = (-freq.half_width + freq.spacing * (e + nudge) for e in sorted(ends))
-    mask = (xi >= lo) & (xi <= hi)
-    want = complex(np.count_nonzero(mask), np.sum(k[mask])) * freq.spacing
-    assert lattice_sum(F, 0.0, lo, hi) == want
-    assert lattice_sum(F, 0.0, lo=lo) == complex(np.count_nonzero(xi >= lo), np.sum(k[xi >= lo])) * freq.spacing
-    assert lattice_sum(F, 0.0, hi=hi) == complex(np.count_nonzero(xi <= hi), np.sum(k[xi <= hi])) * freq.spacing
+    for support in (SupportSpec.interval(lo, hi), SupportSpec.interval(lo, math.inf),
+                    SupportSpec.interval(-math.inf, hi), SupportSpec.nonneg(),
+                    SupportSpec.nonpos(), SupportSpec.full_line()):
+        F = Spectrum(freq, 1.0 + 1j * k, SupportSpec.full_line())
+        # redeclared without zeroing the values outside it, so that a
+        # point summed outside the support would show in the readback
+        object.__setattr__(F, "support", support)
+        mask = support.contains(xi)
+        want = complex(np.count_nonzero(mask), np.sum(k[mask])) * freq.spacing
+        assert lattice_sum(F, 0.0) == want
 
 
 @pytest.fixture(scope="module")

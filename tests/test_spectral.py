@@ -9,6 +9,7 @@ from abelharm import (
     Spectrum,
     SupportSpec,
     abel_regularized_inverse,
+    convolve,
     forward_ft,
     inverse_ft,
     make_grid,
@@ -17,7 +18,7 @@ from abelharm import (
     sample_function,
     sample_spectrum,
 )
-from abelharm.spectral import _factored_sum
+from abelharm.spectral import _factored_sum, _slice_sum, _support_range
 
 
 def test_support_spec_kinds():
@@ -33,10 +34,15 @@ def test_support_spec_kinds():
 
 
 def test_support_spec_validation():
-    with pytest.raises(ValueError):
-        SupportSpec.interval(2.0, 1.0)
-    with pytest.raises(ValueError):
-        SupportSpec("banded")
+    # a support is a nonempty closed interval [a, b]; the ends may be
+    # infinite, but not on the wrong side
+    for a, b in ((2.0, 1.0), (math.nan, 1.0), (0.0, math.nan), (math.inf, math.inf),
+                 (-math.inf, -math.inf)):
+        with pytest.raises(ValueError):
+            SupportSpec.interval(a, b)
+    assert SupportSpec.interval(-math.inf, math.inf) == SupportSpec.full_line()
+    assert SupportSpec.interval(0.0, math.inf) == SupportSpec.nonneg()
+    assert SupportSpec.interval(-math.inf, 0.0) == SupportSpec.nonpos()
 
 
 def test_projection_masks_partition_the_line():
@@ -47,6 +53,11 @@ def test_projection_masks_partition_the_line():
     minus = SupportSpec.nonpos().projection_mask(xi)
     assert not np.any(plus & minus)
     assert np.all(plus | minus)
+    # so do the bands [-1, 0] and [0, 1] of [-1, 1]
+    left = SupportSpec.interval(-1.0, 0.0).projection_mask(xi)
+    right = SupportSpec.interval(0.0, 1.0).projection_mask(xi)
+    assert list(left) == [True, True, False, False, False]
+    assert list(left ^ right) == [True] * 5
 
 
 def test_sample_spectrum_halves_boundary_points():
@@ -218,21 +229,41 @@ def test_round_trip_is_identity_on_random_grids(half_points, half_width, seed):
     g = make_grid(1, half_width, 2 * half_points)
     f = SampledFunction(g, rng.standard_normal(g.points) + 1j * rng.standard_normal(g.points))
     back = inverse_ft(forward_ft(f))
-    assert back.grid.points == g.points
-    assert back.grid.half_width == pytest.approx(g.half_width, rel=1e-15)
+    assert back.grid == g
     assert np.max(np.abs(back.values - f.values)) <= 1e-12 * np.max(np.abs(f.values))
+
+
+def test_dual_of_the_dual_is_the_grid_itself():
+    # recomputed, this grid's double dual has half-width 15.296875000000002
+    g = make_grid(1, 15.296875, 90)
+    assert g.reciprocal().reciprocal() is g
+    # the link back is neither compared nor shown
+    assert g.reciprocal() == make_grid(1, 90 / (4.0 * 15.296875), 90)
+    assert repr(g.reciprocal()) == "Grid(n=1, half_width=1.4708886618998978, points=90)"
+    f = sample_function(g, lambda x: np.exp(-x * x))
+    h = convolve(inverse_ft(forward_ft(f)), f)
+    assert h.grid == g
+
+
+def test_damped_inverse_of_a_one_sided_spectrum_sums_one_side():
+    # a nonnegative spectrum is summed at x + it over its support only
+    F = sample_spectrum(make_grid(1, 16.0, 1024).reciprocal(),
+                        lambda xi: np.exp(-2.0 * math.pi * xi), SupportSpec.nonneg())
+    start, stop = _support_range(F.grid, F.support)
+    x, t = np.linspace(-3.0, 3.0, 25), 0.25
+    got = abel_regularized_inverse(F, t, x)
+    assert got.tobytes() == _slice_sum(F, start, stop, x + 1j * t).tobytes()
 
 
 def _masked_sample(xi, support):
     # sample_spectrum by masks on the axis: the support's points, with the
-    # points on a boundary halved
+    # points on a finite end halved
     mask = support.contains(xi)
     vals = np.zeros(xi.size, dtype=complex)
     vals[mask] = np.exp(-xi[mask] * xi[mask]) + 1j * xi[mask]
-    ends = {"nonneg_halfline": [0.0], "nonpos_halfline": [0.0], "full_line": [],
-            "interval": sorted({support.a, support.b})}[support.kind]
-    for end in ends:
-        vals[xi == end] *= 0.5
+    for end in {support.a, support.b}:
+        if math.isfinite(end):
+            vals[xi == end] *= 0.5
     return vals
 
 

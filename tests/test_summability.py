@@ -11,7 +11,6 @@ from abelharm import (
     abel_mean_radial,
     default_schedule,
     gauss_mean,
-    gauss_mean_radial,
     make_grid,
     poisson_kernel,
     sample_function,
@@ -119,8 +118,6 @@ def test_radial_means_higher_dimensions():
     # machinery extrapolates it away, here we only pin the raw means
     val = abel_mean_radial(lambda r: poisson_kernel(2, 1.0, r), 2, 0.001)
     assert 0.95 < val < 1.0
-    vg = gauss_mean_radial(lambda r: poisson_kernel(3, 1.0, r), 3, 0.001)
-    assert 0.99 < vg < 1.0
 
 
 def test_radii_are_built_once_per_grid_and_read_only():
