@@ -833,7 +833,6 @@ def run(config: ExperimentConfig) -> ReportBundle:
             "abelharm": __version__,
             "python": sys.version.split()[0],
             "numpy": np.__version__,
-            "scipy": __import__("scipy").__version__,
         },
         "timings_seconds": {k: round(v, 3) for k, v in timings.items()},
         "checks_total": len(checks),

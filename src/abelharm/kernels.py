@@ -169,7 +169,8 @@ def abel_from_gaussians(t: float, x, u_max: float = 50.0, M: int = 4096, n: int 
     then converges spectrally.  The quadrature error is estimated as the
     difference against the half-resolution rule plus the truncated tail of
     the weight; if that estimate exceeds 1e-8 the call refuses to return a
-    value rather than silently degrade.
+    value rather than silently degrade.  Non-finite points raise
+    ValueError.
 
     Parameters
     ----------
@@ -192,6 +193,8 @@ def abel_from_gaussians(t: float, x, u_max: float = 50.0, M: int = 4096, n: int 
         raise ValueError(f"M must be even and >= 8, got {M}")
     if not u_max > 1:
         raise ValueError(f"u_max must exceed 1, got {u_max}")
+    if not np.all(np.isfinite(np.asarray(x, dtype=float))):
+        raise ValueError("evaluation points must be finite")
     r = radius(x, n)
     a = (math.pi * t * r) ** 2  # exponent scale; integrand is exp(-v^2 - a/v^2)
 
@@ -206,7 +209,7 @@ def abel_from_gaussians(t: float, x, u_max: float = 50.0, M: int = 4096, n: int 
     coarse = midpoint(M // 2)
     tail = math.exp(-u_max) / math.sqrt(math.pi * u_max)
     estimate = float(np.max(np.abs(fine - coarse))) + tail
-    if estimate > 1e-8:
+    if not estimate <= 1e-8:
         raise QuadratureBudgetError(
             f"quadrature error estimate {estimate:.3e} exceeds the 1e-8 budget; "
             f"increase M or u_max"

@@ -132,9 +132,12 @@ def gauss_mean(h: SampledFunction, s: float) -> complex:
 def abel_mean_radial(profile, n: int, t: float, upper: float = math.inf) -> float:
     """Damped mean of a radially symmetric closed-form function.
 
-    Adaptive 1-D quadrature of omega_{n-1} r^{n-1} profile(r) exp(-2 pi t r)
-    on [0, upper]; the route of choice in dimensions 2 and 3, where a full
-    lattice would cost points**n samples for a one-number answer.
+    The double-exponential rule of ``radial_integrate`` applied to
+    omega_{n-1} r^{n-1} profile(r) exp(-2 pi t r) on [0, upper]; the route
+    of choice in dimensions 2 and 3, where a full lattice would cost
+    points**n samples for a one-number answer.  ``profile`` is called once,
+    on the array of the rule's radii.  ``upper`` must be positive, and a
+    weighted integrand value that is not finite raises ValueError.
     """
     if not t > 0:
         raise ValueError(f"scale must be positive, got {t}")

@@ -1,12 +1,15 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+import abelharm
 from abelharm import SupportSpec, evaluate_field, make_grid, sample_spectrum
 from abelharm.cli import (
     CheckResult,
@@ -289,3 +292,25 @@ def test_unconverged_means_fail_criterion_six_through_their_checks(tmp_path):
     assert criteria[6].verdict == "fail"
     assert bundle.failed == len(limits)
     assert "result: FAIL" in bundle.summary_text
+
+
+# an import of scipy raises once sys.modules maps it to None
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from abelharm import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("suite", ["kernels", "summability"])
+def test_radial_suites_run_without_scipy(tmp_path, suite):
+    # the runtime needs numpy only; these suites integrate radially
+    src = os.path.dirname(os.path.dirname(abelharm.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    res = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, "run", "--suite", suite, "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr + res.stdout[-2000:]

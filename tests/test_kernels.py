@@ -97,6 +97,17 @@ def test_gaussian_average_budget_guard():
         abel_from_gaussians(1.0, 0.0, u_max=2.0, M=8)
     with pytest.raises(ValueError):
         abel_from_gaussians(1.0, 0.0, M=7)
+    # a NaN estimate is past the budget too, not within it
+    with np.errstate(invalid="ignore"), pytest.raises(QuadratureBudgetError):
+        abel_from_gaussians(1.0, 0.5, u_max=math.inf)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_gaussian_average_rejects_non_finite_points(bad):
+    with pytest.raises(ValueError, match="finite"):
+        abel_from_gaussians(1.0, np.array([0.5, bad]))
+    with pytest.raises(ValueError, match="finite"):
+        abel_from_gaussians(1.0, np.array([[0.5, bad]]), n=2)
 
 
 def test_kernel_value_dispatch():

@@ -1,5 +1,6 @@
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -197,6 +198,53 @@ def test_radial_integrate_matches_cartesian():
     assert val == pytest.approx(1.0, abs=1e-12)
     val3 = radial_integrate(lambda r: poisson_kernel(3, 2.0, r), 3)
     assert val3 == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_radial_rule_gives_unit_masses(n):
+    # exp(-pi |x|^2) and every Poisson kernel have unit mass in each dimension
+    assert abs(radial_integrate(lambda r: np.exp(-math.pi * r * r), n) - 1.0) <= 1e-15
+    for t in (0.1, 1.0, 10.0):
+        mass = radial_integrate(lambda r: poisson_kernel(n, t, r), n)
+        assert abs(mass - 1.0) <= 2.3e-16
+
+
+def test_radial_rule_on_a_finite_range():
+    # tanh-sinh on [0, a]: the Gaussian's mass in [-a, a] is erf(sqrt(pi) a)
+    for a in (0.5, 1.0, 3.0):
+        box = radial_integrate(lambda r: np.exp(-math.pi * r * r), 1, upper=a)
+        assert abs(box - math.erf(math.sqrt(math.pi) * a)) <= 2.3e-16
+
+
+def test_radial_rule_calls_the_profile_once_on_an_array():
+    calls = []
+
+    def profile(r):
+        calls.append(r)
+        return np.exp(-r)
+
+    assert abs(radial_integrate(profile, 1) - 2.0) <= 4.5e-16
+    assert len(calls) == 1 and calls[0].ndim == 1
+
+
+def test_radial_rule_overflow_in_the_tail_is_silent():
+    # far out, the Poisson kernel's power overflows to inf and P is 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert abs(radial_integrate(lambda r: poisson_kernel(3, 0.1, r), 3) - 1.0) <= 2.3e-16
+
+
+@pytest.mark.parametrize("upper", [math.nan, 0.0, -1.0, -math.inf])
+def test_radial_integrate_rejects_a_non_positive_upper_bound(upper):
+    with pytest.raises(ValueError, match="positive"):
+        radial_integrate(lambda r: np.exp(-r), 1, upper=upper)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("upper", [1.0, math.inf])
+def test_radial_integrate_rejects_a_non_finite_integrand(bad, upper):
+    with pytest.raises(ValueError, match="finite"):
+        radial_integrate(lambda r: np.where(r < 0.5, bad, 1.0), 1, upper=upper)
 
 
 # --- exact summation ------------------------------------------------------

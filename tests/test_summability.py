@@ -120,6 +120,16 @@ def test_radial_means_higher_dimensions():
     assert 0.95 < val < 1.0
 
 
+def test_radial_means_check_the_range_and_the_integrand():
+    unit = lambda r: poisson_kernel(1, 1.0, r)
+    for upper in (math.nan, 0.0, -1.0, -math.inf):
+        with pytest.raises(ValueError, match="positive"):
+            abel_mean_radial(unit, 1, 0.05, upper=upper)
+    for upper in (1.0, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            abel_mean_radial(lambda r: np.full_like(r, math.nan), 1, 0.05, upper=upper)
+
+
 def test_radii_are_built_once_per_grid_and_read_only():
     g = make_grid(2, 2.0, 8)
     r = _radii(g)
