@@ -55,7 +55,6 @@ from .summability import (
 )
 from .halfplane import (
     HalfPlaneField,
-    cauchy_kernel,
     cauchy_represent,
     cr_residual,
     evaluate_field,
@@ -65,7 +64,6 @@ from .halfplane import (
     poisson_extend,
 )
 from .growth import (
-    GrowthReport,
     check_pl_bound,
     envelope_bound,
     estimate_type,
@@ -109,7 +107,6 @@ __all__ = [
     "gauss_mean",
     "summability_verdict",
     "HalfPlaneField",
-    "cauchy_kernel",
     "cauchy_represent",
     "cr_residual",
     "evaluate_field",
@@ -117,7 +114,6 @@ __all__ = [
     "evaluate_upper",
     "hardy_split",
     "poisson_extend",
-    "GrowthReport",
     "check_pl_bound",
     "envelope_bound",
     "estimate_type",

@@ -87,7 +87,7 @@ SUITES = ("kernels", "summability", "inversion", "hardy", "growth")
 # The acceptance criteria reported in every summary, in fixed order.  Each
 # row is (index, slug, member-name prefixes besides the slug, tolerance,
 # detail).  A callable detail receives the members by name and the run's
-# facts: the configuration, plus the determinism flags of a full run.
+# facts: the configuration, plus the time-budget flag of a full run.
 CRITERIA = (
     (1, "poisson_normalization", (), 1e-6, "n in {1,2,3}, t in {0.1,1,10}, radial quadrature"),
     (2, "abel_transform_identity", ("transform_identity_pinned_grid",), 1e-6,
@@ -119,9 +119,7 @@ CRITERIA = (
     (13, "envelope_dominates", (), 1e-8, "all spectra, 21 x 13 lattice on |x|<=5, |y|<=3"),
     (14, "type_estimation", ("type_estimate",), 0.3, "imaginary-axis fit with heights {2,3,4,5}"),
     (15, "determinism", ("deterministic_reports",), None,
-     lambda m, facts: "re-serialization byte-identical: "
-                      f"{str(facts['stable']).lower()}; wall time within budget: "
-                      f"{str(facts['fast_enough']).lower()}"),
+     lambda m, facts: f"wall time within budget: {str(facts['fast_enough']).lower()}"),
 )
 
 
@@ -640,33 +638,35 @@ def _run_growth(config: ExperimentConfig):
     xs = np.linspace(-5.0, 5.0, 21)
     ys = np.linspace(-3.0, 3.0, 13)
 
-    # the growth bound at the declared type, and its rejection of half the type
+    # the growth bound at the declared type, and its rejection of half the
+    # type, both extending the bound measured on the real axis
     full = spectra[0][1]
-    rep = check_pl_bound(full, 2.0 * math.pi, "measured", (xs, ys), tol=1e-6)
+    heights = (2.0, 3.0, 4.0, 5.0)
+    bound = measure_real_bound(full, window=50.0)
+    full_type = estimate_type(full, heights)
+    margin = check_pl_bound(full, 2.0 * math.pi, bound, (xs, ys))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        rep_half = check_pl_bound(full, math.pi, "measured", (xs, ys), tol=1e-6)
+        margin_half = check_pl_bound(full, math.pi, bound, (xs, ys))
     spot_f = abs(evaluate_entire(full, 1j))
     spot_f_true = math.sinh(2.0 * math.pi) / math.pi
     spot_env = envelope_bound(full, 1.0)
     spot_env_true = 2.0 * math.exp(2.0 * math.pi)
     rel_f = abs(spot_f - spot_f_true) / spot_f_true
     rel_env = abs(spot_env - spot_env_true) / spot_env_true
-    checks.append(_check("growth_bound_at_type", rep.max_margin_violation, 1e-6,
-                         f"measured real-axis bound {_g(rep.B)}; empirical type {_g(rep.sigma_estimate)}",
-                         ok=rep.passed))
-    checks.append(_check("growth_bound_rejects_half_type", rep_half.max_margin_violation, 1e-6,
+    checks.append(_check("growth_bound_at_type", margin, 1e-6,
+                         f"measured real-axis bound {_g(bound)}; empirical type {_g(full_type)}"))
+    checks.append(_check("growth_bound_rejects_half_type", margin_half, 1e-6,
                          "understated type must be caught (violation far above the gate)",
-                         ok=not rep_half.passed))
+                         ok=margin_half > 1e-6))
     checks.append(_check("spot_value_imaginary_unit", rel_f, 1e-4,
                          f"|f(i)| vs sinh(2 pi)/pi = {_g(spot_f_true)}"))
     checks.append(_check("spot_envelope_height_one", rel_env, 1e-4,
                          f"envelope at height 1 vs 2 exp(2 pi) = {_g(spot_env_true)}"))
     tables["growth/pl_bound.csv"] = (
         ("support", "sigma", "B", "max_margin_violation", "passed", "sigma_estimate"),
-        [("flat_full", rep.sigma, rep.B, rep.max_margin_violation, rep.passed, rep.sigma_estimate),
-         ("flat_full", rep_half.sigma, rep_half.B, rep_half.max_margin_violation,
-          rep_half.passed, rep_half.sigma_estimate)],
+        [("flat_full", 2.0 * math.pi, bound, margin, margin <= 1e-6, full_type),
+         ("flat_full", math.pi, bound, margin_half, margin_half <= 1e-6, full_type)],
     )
 
     # envelope domination on the whole lattice, per spectrum
@@ -686,11 +686,10 @@ def _run_growth(config: ExperimentConfig):
 
     # empirical type
     type_rows = []
-    for label, F, true_type in (
-        ("flat_full", spectra[0][1], 2.0 * math.pi),
-        ("flat_half", spectra[1][1], math.pi),
+    for label, est, true_type in (
+        ("flat_full", full_type, 2.0 * math.pi),
+        ("flat_half", estimate_type(spectra[1][1], heights), math.pi),
     ):
-        est = estimate_type(F, (2.0, 3.0, 4.0, 5.0))
         err = abs(est - true_type)
         type_rows.append((label, est, true_type, err))
         checks.append(_check(f"type_estimate support={label}", err, 0.3,
@@ -699,13 +698,11 @@ def _run_growth(config: ExperimentConfig):
 
     # supporting checks: the measured bound is stable in the window, and a
     # point-like spectrum has nearly zero type
-    b25 = measure_real_bound(full, window=25.0)
-    b50 = measure_real_bound(full, window=50.0)
-    stab = abs(b50 - b25)
+    stab = abs(bound - measure_real_bound(full, window=25.0))
     checks.append(_check("real_bound_stabilizes", stab, 1e-9,
                          "doubling the measurement window must not move the bound"))
     point = sample_spectrum(fgrid, lambda xi: np.ones_like(xi), SupportSpec.interval(0.0, 0.0))
-    est0 = abs(estimate_type(point, (2.0, 3.0, 4.0, 5.0)))
+    est0 = abs(estimate_type(point, heights))
     checks.append(_check("point_spectrum_type_near_zero", est0, 1e-2,
                          "single-cell spectrum is nearly constant"))
     return checks, tables
@@ -725,8 +722,12 @@ _SUITE_FN = {
 
 
 def _worst(members: dict, tol: float | None):
-    """The largest measured value among the members gated at ``tol``."""
-    return max((c.measured for c in members.values() if c.tolerance == tol), default=None)
+    """The largest measured value among the members gated at ``tol``, or NaN if any is NaN."""
+    gated = [c.measured for c in members.values() if c.tolerance == tol]
+    # max() keeps or drops a NaN depending on where it stands
+    if any(v is not None and math.isnan(v) for v in gated):
+        return math.nan
+    return max(gated, default=None)
 
 
 def _criteria(checks, facts: dict) -> list:
@@ -799,20 +800,15 @@ def run(config: ExperimentConfig) -> ReportBundle:
     timings["total"] = total
 
     if config.suite == "all":
-        rendered_once = {path: _render_table(h, r) for path, (h, r) in tables.items()}
-        rendered_twice = {path: _render_table(h, r) for path, (h, r) in tables.items()}
-        stable = rendered_once == rendered_twice
         fast_enough = total < 300.0
-        verdict15 = "pass" if (stable and fast_enough) else "fail"
         # wall time stays out of the summary so reruns match byte for byte;
         # the manifest records it
         checks.append(CheckResult(
-            "deterministic_reports", verdict15,
-            detail="tables re-serialize identically and the run fits the time "
-                   "budget (timing in the manifest); cross-run byte identity "
-                   "is exercised by the test suite",
+            "deterministic_reports", "pass" if fast_enough else "fail",
+            detail="the run fits the time budget (timing in the manifest); "
+                   "cross-run byte identity is exercised by the test suite",
         ))
-        facts.update(stable=stable, fast_enough=fast_enough)
+        facts.update(fast_enough=fast_enough)
 
     criteria = _criteria(checks, facts)
     # a criterion fails only through a failing member check, so count checks

@@ -33,7 +33,6 @@ __all__ = [
     "evaluate_upper",
     "evaluate_lower",
     "evaluate_field",
-    "cauchy_kernel",
     "cauchy_represent",
     "poisson_extend",
     "cr_residual",
@@ -152,22 +151,6 @@ def evaluate_field(F: Spectrum, x_values, y_values) -> HalfPlaneField:
     z = np.empty((ys.size, xs.size), dtype=complex)
     z.real, z.imag = xs, ys[:, None]
     return HalfPlaneField(xs, ys, _evaluate_side(F, z, side), side)
-
-
-def cauchy_kernel(side: str, t: float, x):
-    """The convolution kernel reproducing the half-plane extension.
-
-    Upper side: 1/(2 pi (t - ix)), the inverse transform of the
-    nonnegative half-line exponential; lower side is the conjugate.  Their
-    sum at matching (t, x) is the Poisson kernel on the line.
-    """
-    if not t > 0:
-        raise ValueError(f"scale must be positive, got {t}")
-    if side == "upper":
-        return 1.0 / (2.0 * math.pi * (t - 1j * np.asarray(x, dtype=float)))
-    if side == "lower":
-        return 1.0 / (2.0 * math.pi * (t + 1j * np.asarray(x, dtype=float)))
-    raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
 
 
 # The Cauchy sum runs over blocks of _CAUCHY_ROWS evaluation points by

@@ -66,8 +66,8 @@ class Grid:
     def __post_init__(self):
         if self.n not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.n}")
-        if not self.half_width > 0:
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
+        if not 0 < self.half_width < math.inf:
+            raise ValueError(f"half_width must be finite and positive, got {self.half_width}")
         if self.points < 4 or self.points % 2 != 0:
             raise ValueError(f"points must be even and >= 4, got {self.points}")
 

@@ -50,12 +50,12 @@ class Schedule:
         ts = tuple(float(t) for t in self.t_values)
         if len(ts) < 4:
             raise ValueError(f"schedule needs at least 4 scales, got {len(ts)}")
-        if any(t <= 0 for t in ts):
-            raise ValueError("all scales must be positive")
+        if not all(0 < t < math.inf for t in ts):
+            raise ValueError("all scales must be finite and positive")
         if any(b >= a for a, b in zip(ts, ts[1:])):
             raise ValueError("scales must be strictly decreasing")
-        if not self.convergence_tol > 0:
-            raise ValueError("convergence_tol must be positive")
+        if not 0 < self.convergence_tol < math.inf:
+            raise ValueError("convergence_tol must be finite and positive")
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         object.__setattr__(self, "t_values", ts)

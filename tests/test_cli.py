@@ -276,6 +276,13 @@ def test_criterion_measures_the_worst_member_at_its_tolerance():
     out = _outcome(checks, 3)
     assert (out.measured, out.tolerance) == (3e-5, 1e-4)
     assert out.detail.endswith("identities at 1e-16")
+    # a member that measured NaN makes the criterion's value NaN, wherever
+    # it stands among the members
+    for values in ((1e-9, math.nan), (math.nan, 1e-9)):
+        checks = [CheckResult(f"gaussian_subordination t={t}", "pass" if v <= 1e-8 else "fail", v, 1e-8)
+                  for t, v in zip((0.5, 1), values)]
+        out = _outcome(checks, 4)
+        assert out.verdict == "fail" and math.isnan(out.measured)
 
 
 def test_unconverged_means_fail_criterion_six_through_their_checks(tmp_path):

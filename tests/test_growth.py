@@ -40,7 +40,7 @@ def test_requires_interval_support():
     # a half-line declared as an interval is still unbounded
     half = sample_spectrum(g, lambda xi: np.exp(-xi * xi), SupportSpec.interval(0.0, math.inf))
     for call in (lambda: envelope_bound(half, -1.0), lambda: evaluate_entire(half, 1j),
-                 lambda: check_pl_bound(half, 1.0, "supplied", ([0.0], [1.0]), B=1.0)):
+                 lambda: check_pl_bound(half, 1.0, 1.0, ([0.0], [1.0]))):
         with pytest.raises(ValueError, match="bounded interval support"):
             call()
 
@@ -102,37 +102,50 @@ def test_estimate_type_validation(flat_band):
         estimate_type(flat_band, (0.5, 1.0, 1.5))  # top height too small
 
 
+def test_envelope_rejects_a_non_finite_height(flat_band):
+    for y in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="height must be finite"):
+            envelope_bound(flat_band, y)
+
+
 def test_pl_bound_verdicts(flat_band):
     xs = np.linspace(-5.0, 5.0, 21)
     ys = np.linspace(-3.0, 3.0, 13)
-    rep = check_pl_bound(flat_band, 2.0 * math.pi, "measured", (xs, ys), tol=1e-6)
-    assert rep.passed
-    assert rep.B == pytest.approx(2.0)
-    assert rep.max_margin_violation <= 1e-6
+    B = measure_real_bound(flat_band)
+    assert check_pl_bound(flat_band, 2.0 * math.pi, B, (xs, ys)) <= 1e-6
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        bad = check_pl_bound(flat_band, math.pi, "measured", (xs, ys), tol=1e-6)
-    assert not bad.passed
-    assert bad.max_margin_violation > 1.0
+        bad = check_pl_bound(flat_band, math.pi, B, (xs, ys))
+    assert bad > 1.0
 
 
 def test_pl_bound_warns_when_sigma_understates_type(flat_band):
     xs = np.linspace(-2.0, 2.0, 5)
     ys = np.linspace(-1.0, 1.0, 5)
     with pytest.warns(RuntimeWarning):
-        check_pl_bound(flat_band, math.pi, "measured", (xs, ys), tol=1e-6)
+        check_pl_bound(flat_band, math.pi, 2.0, (xs, ys))
 
 
-def test_pl_bound_supplied_mode(flat_band):
-    xs = np.linspace(-2.0, 2.0, 5)
-    ys = np.linspace(-1.0, 1.0, 5)
-    rep = check_pl_bound(flat_band, 2.0 * math.pi, "supplied", (xs, ys),
-                         tol=1e-6, B=2.0)
-    assert rep.passed
-    with pytest.raises(ValueError):
-        check_pl_bound(flat_band, 2.0 * math.pi, "supplied", (xs, ys), B=None)
-    with pytest.raises(ValueError):
-        check_pl_bound(flat_band, 2.0 * math.pi, "banana", (xs, ys))
+def test_pl_bound_rejects_a_non_finite_type(flat_band):
+    for sigma in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            check_pl_bound(flat_band, sigma, 2.0, ([0.0], [1.0]))
+
+
+def test_pl_bound_rejects_a_bound_that_is_not_finite_and_nonnegative(flat_band):
+    for B in (math.nan, math.inf, -math.inf, -1.0):
+        with pytest.raises(ValueError, match="B must be finite"):
+            check_pl_bound(flat_band, 2.0 * math.pi, B, ([0.0], [1.0]))
+
+
+def test_pl_bound_keeps_a_nan_row_wherever_it_stands(flat_band):
+    # the exponential sum overflows to NaN at height 200; at type 0 the
+    # ceiling stays finite there, so that row's margin is NaN
+    xs = np.array([0.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for ys in ([0.0, 200.0], [200.0, 0.0]):
+            assert math.isnan(check_pl_bound(flat_band, 0.0, 2.0, (xs, ys)))
 
 
 def test_zero_spectrum_passes_trivially():
@@ -141,9 +154,9 @@ def test_zero_spectrum_passes_trivially():
                         SupportSpec.interval(-1.0, 1.0))
     xs = np.linspace(-1.0, 1.0, 3)
     ys = np.linspace(-1.0, 1.0, 3)
+    B = measure_real_bound(F)
+    assert B == 0.0
     # the declared support still announces a type, so understating it warns
-    # even though the zero function satisfies any bound
+    # even though the zero function satisfies any bound, the zero bound too
     with pytest.warns(RuntimeWarning):
-        rep = check_pl_bound(F, 1.0, "measured", (xs, ys))
-    assert rep.passed
-    assert rep.sigma_estimate == 0.0
+        assert check_pl_bound(F, 1.0, B, (xs, ys)) <= 0.0

@@ -7,13 +7,13 @@ from hypothesis import example, given, strategies as st
 from abelharm import (
     SampledFunction,
     SupportSpec,
-    cauchy_kernel,
     cauchy_represent,
     cr_residual,
     evaluate_field,
     evaluate_lower,
     evaluate_upper,
     forward_ft,
+    half_kernel_ft,
     hardy_split,
     inverse_ft,
     make_grid,
@@ -99,7 +99,7 @@ def test_evaluate_field_layout(small_upper_spectrum):
 def test_cauchy_kernel_lattice_mass_is_half():
     g = make_grid(1, 5000.0, 2 ** 18)
     x = g.axis()
-    vals = cauchy_kernel("upper", 1.0, x)
+    vals = half_kernel_ft("-", 1.0, x)  # the upper Cauchy kernel 1/(2 pi (1 - ix))
     total = np.sum(vals) * g.spacing
     # the real part is half the Poisson kernel, so the mass is 1/2; the odd
     # imaginary part cancels in pairs except for the single unpaired node at
@@ -183,16 +183,22 @@ def test_split_reassembles_random_samples(half_points, half_width, seed):
     assert np.max(np.abs(recon - f.values)) <= 1e-12 * np.max(np.abs(f.values))
 
 
+# the Cauchy kernel of each side in closed form: 1/(2 pi (t - ix)) reproduces
+# the upper extension, its conjugate the lower one; these are the half-line
+# kernel transforms of sign "-" and "+", read at x
+_KERNEL_SIGN = {"upper": "-", "lower": "+"}
+
+
 def _direct_cauchy(f, side, t, x):
     """spacing * sum_j K(x - x_j) f_j, summed exactly, with the closed-form kernel."""
-    terms = cauchy_kernel(side, t, x - f.grid.axis()) * f.values
+    terms = half_kernel_ft(_KERNEL_SIGN[side], t, x - f.grid.axis()) * f.values
     return f.grid.spacing * complex(math.fsum(terms.real), math.fsum(terms.imag))
 
 
 def _assert_matches_direct(f, side, t, x, got):
     # each point's error is measured against the sum of its terms' moduli
     for xx, value in zip(x, got):
-        kernel = cauchy_kernel(side, t, xx - f.grid.axis())
+        kernel = half_kernel_ft(_KERNEL_SIGN[side], t, xx - f.grid.axis())
         size = f.grid.spacing * np.sum(np.abs(kernel) * np.abs(f.values))
         assert abs(value - _direct_cauchy(f, side, t, xx)) <= 1e-12 * size
 

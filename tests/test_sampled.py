@@ -43,6 +43,14 @@ def test_grid_validation():
         make_grid(1, 1.0, 2)
 
 
+
+@pytest.mark.parametrize("half_width", [math.inf, -math.inf, math.nan])
+def test_grid_rejects_a_non_finite_half_width(half_width):
+    # an infinite box has no spacing to speak of: its reciprocal would have
+    # half-width 0
+    with pytest.raises(ValueError, match="finite and positive"):
+        Grid(1, half_width, 8)
+
 def test_lattice_shape_and_order():
     g = make_grid(2, 1.0, 4)
     pts = g.lattice()

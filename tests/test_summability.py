@@ -31,6 +31,23 @@ def test_schedule_validation():
         Schedule((0.1, 0.05, 0.025, 0.0125), method="aitken")
 
 
+
+@pytest.mark.parametrize("scales", [
+    (math.inf, 0.05, 0.025, 0.0125),
+    (0.1, math.nan, 0.025, 0.0125),
+    (0.1, 0.05, 0.025, math.nan),
+])
+def test_schedule_rejects_non_finite_scales(scales):
+    with pytest.raises(ValueError, match="finite and positive"):
+        Schedule(scales)
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan])
+def test_schedule_rejects_a_non_finite_tolerance(tol):
+    # an infinite tolerance would declare every schedule converged
+    with pytest.raises(ValueError, match="finite and positive"):
+        Schedule((0.1, 0.05, 0.025, 0.0125), convergence_tol=tol)
+
 def test_default_schedule_is_geometric():
     s = default_schedule()
     assert len(s.t_values) == 12
