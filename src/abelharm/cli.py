@@ -5,8 +5,9 @@ and independent oracles, then writes plot-ready CSV tables plus a pass/fail
 summary (text and JSON).  A manifest records the configuration echo and
 library versions together with wall-clock timings.  Numeric CSV fields are encoded with
 shortest round-trip decimals and every reduction runs in a fixed order, so
-re-running a suite with the same configuration reproduces the tables byte
-for byte.  Timings live only in the manifest, never in the tables.
+re-running a suite reproduces the tables byte for byte, on the fixed grids
+and schedules its gates were calibrated on.  Timings live only in the
+manifest, never in the tables.
 
 The suites build checks only.  Each ``[acceptance]`` line of the summary is
 derived from its member checks, the checks whose names start with the
@@ -31,7 +32,7 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -68,9 +69,10 @@ from .spectral import (
     abel_regularized_inverse,
     forward_ft,
     inverse_ft,
+    project_spectrum,
     sample_spectrum,
 )
-from .summability import abel_mean_radial, default_schedule, summability_verdict
+from .summability import _extrapolate, abel_mean_radial, default_schedule, summability_verdict
 
 __all__ = [
     "ConfigError",
@@ -86,21 +88,19 @@ SUITES = ("kernels", "summability", "inversion", "hardy", "growth")
 
 # The acceptance criteria reported in every summary, in fixed order.  Each
 # row is (index, slug, member-name prefixes besides the slug, tolerance,
-# detail).  A callable detail receives the members by name and the run's
-# facts: the configuration, plus the time-budget flag of a full run.
+# detail).  A callable detail receives the members by name.
 CRITERIA = (
     (1, "poisson_normalization", (), 1e-6, "n in {1,2,3}, t in {0.1,1,10}, radial quadrature"),
     (2, "abel_transform_identity", ("transform_identity_pinned_grid",), 1e-6,
-     lambda m, facts: f"grid R={facts['half_width']:g} N={facts['points']}; "
-                      f"{m['transform_identity_pinned_grid'].detail}"),
+     lambda m: f"grid R=40 N=16384; {m['transform_identity_pinned_grid'].detail}"),
     (3, "half_line_transforms", ("half_line_",), 1e-4,
-     lambda m, facts: "lattice vs closed form on |xi| <= 4; identities at "
-                      f"{_g(_worst(m, 1e-12))}"),
+     lambda m: "lattice vs closed form on |xi| <= 4; identities at "
+               f"{_g(_worst(m, 1e-12))}"),
     (4, "gaussian_subordination", (), 1e-8, "201 points in [-3,3], t in {0.5,1,2}"),
     (5, "poisson_semigroup", (), 1e-4, "grid R=200 N=2^16, zero-padded transform convolution"),
     (6, "abel_summation_of_integrable", ("abel_limit", "abel_gauss_agreement"), 1e-3,
-     lambda m, facts: "worst limit error; worst family disagreement "
-                      f"{_g(_worst(m, 2e-3))} vs 0.002"),
+     lambda m: "worst limit error; worst family disagreement "
+               f"{_g(_worst(m, 2e-3))} vs 0.002"),
     (7, "regularized_inverse_matches_convolution", ("regularized_matches_convolution",), 1e-5,
      "damped inverse vs Poisson convolution, two independent quadratures"),
     (8, "hardy_split_partition", ("hardy_partition",), 1e-8,
@@ -109,17 +109,18 @@ CRITERIA = (
      "25 points in [-2,2] per t in {0.25,0.5,1}, three witnesses"),
     (10, "boundary_continuity", (), 1e-2, "final sup at t=0.025; monotone approach required"),
     (11, "cauchy_riemann_residual", ("cr_residual",), 1e-5,
-     lambda m, facts: f"step scaling {_g(m['cr_residual_step_scaling'].measured)}x, "
-                      "conjugate witness residual "
-                      f"{_g(m['cr_residual_detects_antiholomorphic'].measured)}"),
+     lambda m: f"step scaling {_g(m['cr_residual_step_scaling'].measured)}x, "
+               "conjugate witness residual "
+               f"{_g(m['cr_residual_detects_antiholomorphic'].measured)}"),
     (12, "growth_bound_conclusion", ("growth_bound", "spot_"), 1e-4,
-     lambda m, facts: "bound holds at the type, fails at half (violation "
-                      f"{_g(m['growth_bound_rejects_half_type'].measured)}); "
-                      "spot values within the gate"),
+     lambda m: "bound holds at the type, fails at half (violation "
+               f"{_g(m['growth_bound_rejects_half_type'].measured)}); "
+               "spot values within the gate"),
     (13, "envelope_dominates", (), 1e-8, "all spectra, 21 x 13 lattice on |x|<=5, |y|<=3"),
     (14, "type_estimation", ("type_estimate",), 0.3, "imaginary-axis fit with heights {2,3,4,5}"),
     (15, "determinism", ("deterministic_reports",), None,
-     lambda m, facts: f"wall time within budget: {str(facts['fast_enough']).lower()}"),
+     lambda m: "wall time within budget: "
+               f"{str(m['deterministic_reports'].verdict == 'pass').lower()}"),
 )
 
 
@@ -129,65 +130,21 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Runner configuration.  Defaults reproduce the full check suite.
+    """Which suite to run and where to write its reports.
 
-    ``half_width`` and ``points`` control the grid of the transform
-    identity check in the kernels suite; the remaining checks pin their
-    own grids because their tolerances were calibrated against them.  The
-    schedule fields feed the summability suite.  There is no seed of any
-    kind: every computation is deterministic.
+    Nothing numeric is configurable: every check pins its own grid and
+    schedule because its tolerance was calibrated against them.  There is
+    no seed of any kind: every computation is deterministic.
     """
 
     suite: str = "all"
-    half_width: float = 40.0
-    points: int = 2 ** 14
-    schedule_start: float = 0.1
-    schedule_ratio: float = 0.5
-    schedule_steps: int = 12
-    convergence_tol: float = 1e-3
-    method: str = "richardson_1"
     output_dir: str = "reports"
 
     def __post_init__(self):
         if self.suite not in SUITES + ("all",):
             raise ConfigError(f"unknown suite {self.suite!r}; choose from {('all',) + SUITES}")
-        for name in ("points", "schedule_steps"):
-            if type(getattr(self, name)) is not int:
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        for name in ("half_width", "schedule_start", "schedule_ratio", "convergence_tol"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not math.isfinite(value) or not value > 0):
-                raise ConfigError(f"{name} must be a finite positive number, got {value!r}")
-        if self.points < 4 or self.points % 2:
-            raise ConfigError("points must be even and >= 4")
-        if not self.schedule_ratio < 1:
-            raise ConfigError("schedule_ratio must lie in (0, 1)")
-        if self.schedule_steps < 4:
-            raise ConfigError("schedule_steps must be at least 4")
-        if self.method not in ("last_value", "richardson_1"):
-            raise ConfigError(f"unknown method {self.method!r}")
         if not isinstance(self.output_dir, str):
             raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
-
-    @classmethod
-    def from_json(cls, path: str, **overrides) -> "ExperimentConfig":
-        """Load a key-value JSON file; unknown keys are configuration errors."""
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"config {path} must hold a JSON object")
-        known = set(cls.__dataclass_fields__)
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        data.update(overrides)
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -213,17 +170,13 @@ class CriterionOutcome:
 
 @dataclass
 class ReportBundle:
-    """Everything a run produced, as written to the output directory."""
+    """The checks, criteria and tables of a run, as written to the output directory."""
 
-    suite: str
     checks: list
     criteria: list
     tables: dict  # relative path -> (header tuple, list of row tuples)
-    summary_text: str = ""
-    summary: dict = field(default_factory=dict)
-    manifest: dict = field(default_factory=dict)
-    output_dir: str = ""
-    failed: int = 0
+    summary_text: str
+    failed: int
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +201,10 @@ def _render_table(header, rows) -> str:
 
 
 def _field_table(fld: HalfPlaneField):
-    header = ("x", "y", "re", "im")
-    rows = []
-    for i, y in enumerate(fld.y_lattice):
-        for j, x in enumerate(fld.x_lattice):
-            v = fld.values[i, j]
-            rows.append((float(x), float(y), float(v.real), float(v.imag)))
-    return header, rows
+    # row-major over (y, x): x varies fastest
+    return ("x", "y", "re", "im"), [(x, y, v.real, v.imag)
+                                    for y, row in zip(fld.y_lattice, fld.values)
+                                    for x, v in zip(fld.x_lattice, row)]
 
 
 def _write(path: str, text: str) -> None:
@@ -279,16 +229,17 @@ def _g(x: float) -> str:
 def _transform_error(grid, family: str, closed_form):
     """Lattice transform of the unit 1-D kernel of ``family`` against its closed form.
 
-    Returns the spectrum, its axis, the window |xi| <= 4 and the largest
-    error in that window.
+    Returns the frequencies of the window |xi| <= 4, the transform and the
+    closed form on them, and the largest error in the window.
     """
     F = forward_ft(sample_kernel(grid, KernelSpec(family, 1.0, 1)))
     xi = F.grid.axis()
     win = np.abs(xi) <= 4.0
-    return F, xi, win, float(np.max(np.abs(F.values[win] - closed_form(xi[win]))))
+    lattice, exact = F.values[win], closed_form(xi[win])
+    return xi[win], lattice, exact, float(np.max(np.abs(lattice - exact)))
 
 
-def _run_kernels(config: ExperimentConfig):
+def _run_kernels():
     checks, tables = [], {}
 
     # normalization of the Poisson kernel in all dimensions
@@ -312,12 +263,12 @@ def _run_kernels(config: ExperimentConfig):
     checks.append(_check("poisson_truncated_mass_oracle", max(oracle_errs), 1e-6,
                          "lattice box mass vs arctan closed form, t in {0.1,1,10}"))
 
-    # transform identity on the configured grid; the kink of the kernel at
-    # the origin aliases like (pi/3) * spacing^2, which caps the achievable
+    # transform identity on the pinned grid; the kink of the kernel at the
+    # origin aliases like (pi/3) * spacing^2, which caps the achievable
     # accuracy independently of any implementation choice
-    grid_id = make_grid(1, config.half_width, config.points)
+    grid_id = make_grid(1, 40.0, 2 ** 14)
     abel_closed = lambda xi: abel_ft(1, 1.0, xi)
-    F, xi, win, err_id = _transform_error(grid_id, "abel", abel_closed)
+    xw, lattice, exact, err_id = _transform_error(grid_id, "abel", abel_closed)
     floor = (math.pi / 3.0) * grid_id.spacing ** 2
     if err_id <= 1e-6:
         verdict_id = "pass"
@@ -330,15 +281,12 @@ def _run_kernels(config: ExperimentConfig):
         verdict_id = "fail"
         detail_id = f"error is not explained by the aliasing floor {_g(floor)}"
     checks.append(CheckResult("transform_identity_pinned_grid", verdict_id, err_id, 1e-6, detail_id))
-    # about 33 evenly spaced rows across the window (exactly the
-    # quarter-integer frequencies on the default grid)
-    widx = np.flatnonzero(win)
-    widx = widx[:: max(1, len(widx) // 32)]
+    # 33 evenly spaced rows: the quarter-integer frequencies of the window
+    rows_id = slice(None, None, max(1, len(xw) // 32))
     tables["kernels/transform_error.csv"] = (
         ("xi", "lattice", "closed_form", "abs_error"),
-        [(float(xi[i]), float(abs(F.values[i])), float(abel_ft(1, 1.0, xi[i])),
-          float(abs(F.values[i] - abel_ft(1, 1.0, xi[i]))))
-         for i in widx],
+        [(x, abs(v), c, abs(v - c))
+         for x, v, c in zip(xw[rows_id], lattice[rows_id], exact[rows_id])],
     )
 
     # the same identity on a grid fine enough to pass the gate
@@ -353,11 +301,9 @@ def _run_kernels(config: ExperimentConfig):
         checks.append(_check(f"half_line_transform sign={sign}", err, 1e-4,
                              "jump at the origin costs spacing/2 per frequency"))
     xi_dense = np.linspace(-4.0, 4.0, 1601)
-    conj_err = float(np.max(np.abs(
-        half_kernel_ft("-", 1.0, xi_dense) - np.conjugate(half_kernel_ft("+", 1.0, xi_dense)))))
-    sum_err = float(np.max(np.abs(
-        half_kernel_ft("+", 1.0, xi_dense) + half_kernel_ft("-", 1.0, xi_dense)
-        - abel_ft(1, 1.0, xi_dense))))
+    plus, minus = half_kernel_ft("+", 1.0, xi_dense), half_kernel_ft("-", 1.0, xi_dense)
+    conj_err = float(np.max(np.abs(minus - np.conjugate(plus))))
+    sum_err = float(np.max(np.abs(plus + minus - abel_ft(1, 1.0, xi_dense))))
     checks.append(_check("half_line_conjugacy_identity", conj_err, 1e-12))
     checks.append(_check("half_line_sum_identity", sum_err, 1e-12,
                          "the two closed forms sum to the Poisson kernel"))
@@ -378,24 +324,21 @@ def _run_kernels(config: ExperimentConfig):
     conv = convolve(p1, p1)
     x_semi = grid_semi.axis()
     win_s = np.abs(x_semi) <= 10.0
-    target = poisson_kernel(1, 2.0, x_semi[win_s])
-    rel = np.abs(conv.values[win_s] - target) / target
-    err_semi = float(np.max(rel))
-    checks.append(_check("poisson_semigroup", err_semi, 1e-4,
+    xs, cs = x_semi[win_s], conv.values[win_s]
+    target = poisson_kernel(1, 2.0, xs)
+    rel = np.abs(cs - target) / target
+    checks.append(_check("poisson_semigroup", float(np.max(rel)), 1e-4,
                          "P_1 * P_1 vs P_2, relative on |x| <= 10"))
-    step = max(1, int(round(0.25 / grid_semi.spacing)))
-    idx = np.flatnonzero(win_s)[::step]
+    rows_s = slice(None, None, max(1, int(round(0.25 / grid_semi.spacing))))
     tables["kernels/semigroup.csv"] = (
         ("x", "convolved", "closed_form", "rel_error"),
-        [(float(x_semi[i]), float(conv.values[i].real), float(poisson_kernel(1, 2.0, x_semi[i])),
-          float(abs(conv.values[i] - poisson_kernel(1, 2.0, x_semi[i])) / poisson_kernel(1, 2.0, x_semi[i])))
-         for i in idx],
+        list(zip(xs[rows_s], cs[rows_s].real, target[rows_s], rel[rows_s])),
     )
 
     return checks, tables
 
 
-def _run_summability(config: ExperimentConfig):
+def _run_summability():
     checks, tables = [], {}
     grid = make_grid(1, 2000.0, 400000)
     witnesses = [
@@ -403,19 +346,16 @@ def _run_summability(config: ExperimentConfig):
         ("poisson", sample_kernel(grid, KernelSpec("poisson", 1.0, 1))),
         ("abel", sample_function(grid, lambda x: np.exp(-2.0 * math.pi * np.abs(x)))),
     ]
-    schedule = default_schedule(config.schedule_start, config.schedule_ratio, config.schedule_steps,
-                                config.convergence_tol, config.method)
+    schedule = default_schedule()
     mean_rows, limit_rows = [], []
     for name, h in witnesses:
         reference = integrate(h).real
         rep_a = summability_verdict(h, "abel", schedule)
         rep_g = summability_verdict(h, "gauss", schedule)
         for kind, rep in (("abel", rep_a), ("gauss", rep_g)):
-            for t, m in zip(schedule.t_values, rep.means):
-                mean_rows.append((name, kind, t, m.real, m.imag))
-            err = abs(rep.limit_estimate - reference)
+            mean_rows += [(name, kind, t, m.real, m.imag) for t, m in zip(schedule.t_values, rep.means)]
             limit_rows.append((name, kind, rep.limit_estimate.real, rep.residual,
-                               rep.converged, reference, err))
+                               rep.converged, reference, abs(rep.limit_estimate - reference)))
         # the limit counts only when both damping routes converged
         limit_err = abs(rep_a.limit_estimate - reference)
         checks.append(_check(f"abel_limit witness={name}", limit_err, 1e-3,
@@ -433,8 +373,7 @@ def _run_summability(config: ExperimentConfig):
     for n in (2, 3):
         means = [abel_mean_radial(lambda r, n=n: poisson_kernel(n, 1.0, r), n, t)
                  for t in schedule.t_values]
-        r = schedule.t_values[-1] / schedule.t_values[-2]
-        extrap = (means[-1] - r * means[-2]) / (1.0 - r)
+        extrap = _extrapolate(schedule.t_values, means)[-1]
         err = abs(extrap - 1.0)
         radial_rows.append((n, extrap, err))
         checks.append(_check(f"abel_sum_radial n={n}", err, 1e-3,
@@ -443,7 +382,7 @@ def _run_summability(config: ExperimentConfig):
     return checks, tables
 
 
-def _run_inversion(config: ExperimentConfig):
+def _run_inversion():
     checks, tables = [], {}
 
     # round trip on a smooth witness
@@ -481,7 +420,7 @@ def _run_inversion(config: ExperimentConfig):
         diffs = np.abs(reg - conv.values[iq])
         worst = max(worst, float(np.max(diffs)))
         for x, r, c, d in zip(xq, reg, conv.values[iq], diffs):
-            rows.append((t, float(x), r.real, r.imag, c.real, c.imag, float(d)))
+            rows.append((t, x, r.real, r.imag, c.real, c.imag, d))
     tables["inversion/regularized.csv"] = (
         ("t", "x", "re_regularized", "im_regularized", "re_convolution",
          "im_convolution", "abs_difference"), rows)
@@ -490,13 +429,11 @@ def _run_inversion(config: ExperimentConfig):
 
     # attenuation of the damped inverse toward the point value
     att_rows = []
-    errs = []
     for t in (0.2, 0.1, 0.05, 0.025):
         val = abel_regularized_inverse(F7, t, 0.0)
-        err = abs(val - 1.0)
-        errs.append(err)
-        att_rows.append((t, val.real, err))
+        att_rows.append((t, val.real, abs(val - 1.0)))
     tables["inversion/attenuation.csv"] = (("t", "value_at_origin", "error_to_limit"), att_rows)
+    errs = [row[2] for row in att_rows]
     decreasing = all(b < a for a, b in zip(errs, errs[1:]))
     checks.append(_check("regularized_inverse_attenuation", errs[-1], 5e-2,
                          "error halves with t (first-order damping); monotone decrease required",
@@ -504,7 +441,7 @@ def _run_inversion(config: ExperimentConfig):
     return checks, tables
 
 
-def _run_hardy(config: ExperimentConfig):
+def _run_hardy():
     checks, tables = [], {}
 
     # partition on a small grid: the split is exact linear algebra, so any
@@ -520,10 +457,8 @@ def _run_hardy(config: ExperimentConfig):
         plus, minus = hardy_split(f)
         recon = inverse_ft(plus).values + inverse_ft(minus).values
         err = float(np.max(np.abs(recon - f.values)))
-        split_rows.append((name,
-                           float(np.sum(np.abs(plus.values)) * plus.grid.spacing),
-                           float(np.sum(np.abs(minus.values)) * minus.grid.spacing),
-                           err))
+        split_rows.append((name, np.sum(np.abs(plus.values)) * plus.grid.spacing,
+                           np.sum(np.abs(minus.values)) * minus.grid.spacing, err))
         checks.append(_check(f"hardy_partition witness={name}", err, 1e-8))
     tables["hardy/partition.csv"] = (("witness", "plus_mass", "minus_mass", "reassembly_error"), split_rows)
 
@@ -533,7 +468,8 @@ def _run_hardy(config: ExperimentConfig):
     w_exp = sample_spectrum(freq, lambda xi: np.exp(-2.0 * math.pi * xi), SupportSpec.nonneg())
     f_exp = inverse_ft(w_exp)
     p1 = sample_kernel(space, KernelSpec("poisson", 1.0, 1))
-    w_pois, _ = hardy_split(p1)
+    F_p1 = forward_ft(p1)
+    w_pois = project_spectrum(F_p1, SupportSpec.nonneg())
     f_pois = inverse_ft(w_pois)
     g0 = sample_function(space, lambda x: np.exp(-math.pi * x * x))
     w_gauss, _ = hardy_split(g0)
@@ -556,8 +492,7 @@ def _run_hardy(config: ExperimentConfig):
             d_sc = np.abs(es - ec)
             d_ac = np.abs(ea - ec)
             witness_worst = max(witness_worst, float(np.max([d_sa.max(), d_sc.max(), d_ac.max()])))
-            for k, x in enumerate(xq):
-                agree_rows.append((name, t, float(x), float(d_sa[k]), float(d_sc[k]), float(d_ac[k])))
+            agree_rows += [(name, t, *row) for row in zip(xq, d_sa, d_sc, d_ac)]
         checks.append(_check(f"representation_agreement witness={name}", witness_worst, 1e-5,
                              "spectral vs damped-inverse vs Cauchy convolution, pairwise"))
     tables["hardy/agreement.csv"] = (
@@ -605,7 +540,6 @@ def _run_hardy(config: ExperimentConfig):
                          "reflected exponential spectrum evaluated at -i"))
 
     # harmonic extension: convolution path vs damped spectral path
-    F_p1 = forward_ft(p1)
     ext = poisson_extend(p1, 0.5)
     x_ext = np.linspace(-2.0, 2.0, 65)
     ix = np.round((x_ext + space.half_width) / space.spacing).astype(int)
@@ -615,9 +549,9 @@ def _run_hardy(config: ExperimentConfig):
                          "convolution extension vs damped inversion at height 0.5"))
     tables["hardy/extension.csv"] = (
         ("x", "convolution", "damped_inverse", "closed_form", "path_difference"),
-        [(float(x), float(ext.values[i].real), float(damped[k].real),
-          float(poisson_kernel(1, 1.5, x)), float(abs(ext.values[i] - damped[k])))
-         for k, (x, i) in enumerate(zip(x_ext, ix))],
+        # abs() per row: np.abs on the array rounds some cells differently
+        [(x, e.real, d.real, c, abs(e - d))
+         for x, e, d, c in zip(x_ext, ext.values[ix], damped, poisson_kernel(1, 1.5, x_ext))],
     )
 
     # plot-ready field sample
@@ -627,7 +561,7 @@ def _run_hardy(config: ExperimentConfig):
     return checks, tables
 
 
-def _run_growth(config: ExperimentConfig):
+def _run_growth():
     checks, tables = [], {}
     fgrid = make_grid(1, 2.0, 2048)
     spectra = [
@@ -648,12 +582,10 @@ def _run_growth(config: ExperimentConfig):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         margin_half = check_pl_bound(full, math.pi, bound, (xs, ys))
-    spot_f = abs(evaluate_entire(full, 1j))
     spot_f_true = math.sinh(2.0 * math.pi) / math.pi
-    spot_env = envelope_bound(full, 1.0)
     spot_env_true = 2.0 * math.exp(2.0 * math.pi)
-    rel_f = abs(spot_f - spot_f_true) / spot_f_true
-    rel_env = abs(spot_env - spot_env_true) / spot_env_true
+    rel_f = abs(abs(evaluate_entire(full, 1j)) - spot_f_true) / spot_f_true
+    rel_env = abs(envelope_bound(full, 1.0) - spot_env_true) / spot_env_true
     checks.append(_check("growth_bound_at_type", margin, 1e-6,
                          f"measured real-axis bound {_g(bound)}; empirical type {_g(full_type)}"))
     checks.append(_check("growth_bound_rejects_half_type", margin_half, 1e-6,
@@ -672,16 +604,12 @@ def _run_growth(config: ExperimentConfig):
     # envelope domination on the whole lattice, per spectrum
     for label, F in spectra:
         rows = []
-        label_worst = -math.inf
         for y in ys:
             env = envelope_bound(F, float(y))
             vals = np.abs(evaluate_entire(F, xs + 1j * y))
-            for x, v in zip(xs, vals):
-                margin = float(v / env) - 1.0
-                label_worst = max(label_worst, margin)
-                rows.append((float(x), float(y), float(v), env, margin))
+            rows += [(x, y, v, env, float(v / env) - 1.0) for x, v in zip(xs, vals)]
         tables[f"growth/lattice_{label}.csv"] = (("x", "y", "abs_f", "envelope", "margin"), rows)
-        checks.append(_check(f"envelope_dominates support={label}", label_worst, 1e-8,
+        checks.append(_check(f"envelope_dominates support={label}", max(r[4] for r in rows), 1e-8,
                              "max of |f|/envelope - 1 over the lattice"))
 
     # empirical type
@@ -730,7 +658,7 @@ def _worst(members: dict, tol: float | None):
     return max(gated, default=None)
 
 
-def _criteria(checks, facts: dict) -> list:
+def _criteria(checks) -> list:
     """One outcome per :data:`CRITERIA` row, derived from its member checks."""
     outcomes = []
     for index, slug, prefixes, tol, detail in CRITERIA:
@@ -742,7 +670,7 @@ def _criteria(checks, facts: dict) -> list:
         verdicts = {c.verdict for c in members.values()}
         verdict = next(v for v in ("fail", "expected-fail", "pass") if v in verdicts)
         if callable(detail):
-            detail = detail(members, facts)
+            detail = detail(members)
         outcomes.append(CriterionOutcome(index, slug, verdict, _worst(members, tol), tol, detail))
     return outcomes
 
@@ -788,11 +716,10 @@ def run(config: ExperimentConfig) -> ReportBundle:
     checks: list = []
     tables: dict = {}
     timings: dict = {}
-    facts = asdict(config)
     t_start = time.perf_counter()
     for name in selected:
         t0 = time.perf_counter()
-        suite_checks, suite_tables = _SUITE_FN[name](config)
+        suite_checks, suite_tables = _SUITE_FN[name]()
         timings[name] = time.perf_counter() - t0
         checks.extend(suite_checks)
         tables.update(suite_tables)
@@ -800,17 +727,15 @@ def run(config: ExperimentConfig) -> ReportBundle:
     timings["total"] = total
 
     if config.suite == "all":
-        fast_enough = total < 300.0
         # wall time stays out of the summary so reruns match byte for byte;
         # the manifest records it
         checks.append(CheckResult(
-            "deterministic_reports", "pass" if fast_enough else "fail",
+            "deterministic_reports", "pass" if total < 300.0 else "fail",
             detail="the run fits the time budget (timing in the manifest); "
                    "cross-run byte identity is exercised by the test suite",
         ))
-        facts.update(fast_enough=fast_enough)
 
-    criteria = _criteria(checks, facts)
+    criteria = _criteria(checks)
     # a criterion fails only through a failing member check, so count checks
     failed = sum(1 for c in checks if c.verdict == "fail")
     expected = sum(1 for c in checks if c.verdict == "expected-fail")
@@ -844,9 +769,7 @@ def run(config: ExperimentConfig) -> ReportBundle:
     _write(os.path.join(out, "summary.json"), json.dumps(summary, indent=2) + "\n")
     _write(os.path.join(out, "manifest.json"), json.dumps(manifest, indent=2) + "\n")
 
-    return ReportBundle(suite=config.suite, checks=checks, criteria=criteria, tables=tables,
-                        summary_text=summary_text, summary=summary, manifest=manifest,
-                        output_dir=out, failed=failed)
+    return ReportBundle(checks, criteria, tables, summary_text, failed)
 
 
 def main(argv=None) -> int:
@@ -856,24 +779,15 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     runp = sub.add_parser("run", help="execute a check suite")
-    runp.add_argument("--suite", default=None, choices=("all",) + SUITES,
-                      help="suite to run (overrides config; default all)")
-    runp.add_argument("--config", default=None, help="JSON config file")
+    runp.add_argument("--suite", default="all", choices=("all",) + SUITES,
+                      help="suite to run (default all)")
     runp.add_argument("--out", default=None,
-                      help="output directory (overrides config and ABELHARM_OUT)")
+                      help="output directory (default $ABELHARM_OUT, else reports)")
     args = parser.parse_args(argv)
 
     try:
-        # precedence: flag > config file > default, for every key
-        overrides = {"suite": args.suite} if args.suite else {}
-        out_dir = args.out or os.environ.get("ABELHARM_OUT")
-        if out_dir:
-            overrides["output_dir"] = out_dir
-        if args.config:
-            config = ExperimentConfig.from_json(args.config, **overrides)
-        else:
-            config = ExperimentConfig(**overrides)
-        bundle = run(config)
+        out_dir = args.out or os.environ.get("ABELHARM_OUT") or "reports"
+        bundle = run(ExperimentConfig(args.suite, out_dir))
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

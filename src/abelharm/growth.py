@@ -82,7 +82,8 @@ def estimate_type(F: Spectrum, y_samples) -> float:
     d(log y)/dy at the small end of the sample.
 
     If a sample lands on a zero of |f| the heights are deterministically
-    jittered and the fit retried.
+    jittered and the fit retried.  Heights at which |f| overflows raise
+    OverflowError.
     """
     ys = np.asarray(y_samples, dtype=float)
     if ys.size < 3:
@@ -96,6 +97,10 @@ def estimate_type(F: Spectrum, y_samples) -> float:
         up = np.abs(evaluate_entire(F, 1j * y_try))
         down = np.abs(evaluate_entire(F, -1j * y_try))
         m = np.maximum(up, down)
+        # an overflowed sum comes back NaN, which the zero test below
+        # would take for a zero of f
+        if not np.all(np.isfinite(m)):
+            raise OverflowError(f"|f| overflows at heights {y_try[~np.isfinite(m)].tolist()}")
         if np.all(m > 0.0):
             logs = np.log(m)
             w = y_try ** 2

@@ -102,6 +102,14 @@ def test_estimate_type_validation(flat_band):
         estimate_type(flat_band, (0.5, 1.0, 1.5))  # top height too small
 
 
+def test_estimate_type_names_the_heights_where_f_overflows(flat_band):
+    # f(iy) overflows to NaN from height 113 on; that is no zero of f
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(OverflowError, match=r"heights \[120\.0\]"):
+            estimate_type(flat_band, (2.0, 50.0, 120.0))
+
+
 def test_envelope_rejects_a_non_finite_height(flat_band):
     for y in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="height must be finite"):
