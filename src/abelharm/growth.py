@@ -36,7 +36,8 @@ def evaluate_entire(F: Spectrum, z):
 
     spacing * sum_{a <= xi <= b} F(xi) exp(2 pi i z xi), defined for every
     finite complex z: the bounded support caps the exponential factor on
-    any horizontal strip.  ``z`` may be scalar or an array.
+    any horizontal strip.  ``z`` may be scalar or an array.  A value out
+    of range raises OverflowError naming the points where it is.
     """
     _require_band(F, "entire evaluation")
     return lattice_sum(F, z)
@@ -48,13 +49,20 @@ def envelope_bound(F: Spectrum, y: float) -> float:
     (spacing * sum |F|) * exp(max(-2 pi a y, -2 pi b y)): the integral of
     |F| controls the modulus on the axis, and the exponential factor is
     maximized at an endpoint of the support because it is monotone in xi.
+    A bound out of range raises OverflowError naming the height.
     """
     _require_band(F, "envelope_bound")
     if not math.isfinite(y):
         raise ValueError(f"height must be finite, got {y!r}")
     mass = F.grid.spacing * float(np.sum(np.abs(F.values)))
     a, b = F.support.a, F.support.b
-    return mass * math.exp(max(-2.0 * math.pi * a * y, -2.0 * math.pi * b * y))
+    try:
+        bound = mass * math.exp(max(-2.0 * math.pi * a * y, -2.0 * math.pi * b * y))
+    except OverflowError:
+        bound = math.inf
+    if bound == math.inf:
+        raise OverflowError(f"envelope overflows at height {y!r}")
+    return bound
 
 
 def measure_real_bound(F: Spectrum, window: float = 50.0) -> float:
@@ -97,8 +105,7 @@ def estimate_type(F: Spectrum, y_samples) -> float:
         up = np.abs(evaluate_entire(F, 1j * y_try))
         down = np.abs(evaluate_entire(F, -1j * y_try))
         m = np.maximum(up, down)
-        # an overflowed sum comes back NaN, which the zero test below
-        # would take for a zero of f
+        # the modulus of a finite value can still overflow
         if not np.all(np.isfinite(m)):
             raise OverflowError(f"|f| overflows at heights {y_try[~np.isfinite(m)].tolist()}")
         if np.all(m > 0.0):

@@ -168,6 +168,12 @@ _BUCKETS = _EXP_BIAS + 1024 + 1 + 26
 # hence exact; each accumulation runs over cache-sized blocks.
 _CHUNK = 1 << 24
 _BLOCK = 1 << 15
+# Each exponent has _LANES buckets, and addend k of a block goes to lane
+# k % _LANES, so that neighbours, which mostly share an exponent, do not
+# wait on each other's bucket update: bucket (e + _EXP_BIAS) * _LANES +
+# lane, which is e * _LANES plus the offset of position k.
+_LANES = 4
+_OFFSET = _EXP_BIAS * _LANES + np.arange(_BLOCK) % _LANES
 
 
 def _exact_sum(x: np.ndarray) -> float:
@@ -185,6 +191,14 @@ def _exact_sum(x: np.ndarray) -> float:
     here a representable exact total is returned.  A total out of range
     raises OverflowError.  Non-finite addends go to math.fsum, which
     defines their result.
+
+    Two things keep it fast without moving a bit.  Neighbouring addends of
+    a smooth function share an exponent, and np.bincount's updates of one
+    bucket form a serial chain; each exponent is therefore split over
+    interleaved lanes, folded before the carry, and the fold is exact
+    because every partial sum of one exponent is an integer below 2**51.
+    A block whose addends are all zero adds nothing and is skipped; the
+    sign of an all-zero sum is settled on the whole array first.
     """
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     if not x.any():
@@ -193,19 +207,27 @@ def _exact_sum(x: np.ndarray) -> float:
     total = 0
     for start in range(0, x.size, _CHUNK):
         stop = min(start + _CHUNK, x.size)
-        high = np.zeros(_BUCKETS)
-        low = np.zeros(_BUCKETS)
-        # an inf addend leaves a NaN low part, caught below
+        high = np.zeros(_BUCKETS * _LANES)
+        low = np.zeros(_BUCKETS * _LANES)
+        # an inf addend leaves a NaN low part, caught below; the fold may
+        # meet inf - inf
         with np.errstate(invalid="ignore"):
             for i in range(start, stop, _BLOCK):
-                m, e = np.frexp(x[i:min(i + _BLOCK, stop)])
+                block = x[i:min(i + _BLOCK, stop)]
+                if not block.any():
+                    continue
+                m, e = np.frexp(block)
                 m *= 2.0 ** 27
                 hi = np.trunc(m)
                 m -= hi
                 m *= 2.0 ** 26
-                b = np.add(e, _EXP_BIAS, dtype=np.intp)
-                high += np.bincount(b, weights=hi, minlength=_BUCKETS)
-                low += np.bincount(b, weights=m, minlength=_BUCKETS)
+                b = np.multiply(e, _LANES, dtype=np.intp)
+                # any block up to _BLOCK long takes a prefix of the offsets
+                b += _OFFSET[:block.size]
+                high += np.bincount(b, weights=hi, minlength=high.size)
+                low += np.bincount(b, weights=m, minlength=low.size)
+            high = high.reshape(_BUCKETS, _LANES).sum(axis=1)
+            low = low.reshape(_BUCKETS, _LANES).sum(axis=1)
         if not (np.isfinite(high).all() and np.isfinite(low).all()):
             return math.fsum(x.tolist())
         # low[b] counts units of 2**(b - 1126) and high[b] units of

@@ -246,7 +246,8 @@ def _factored_sum(xi0: float, step: float, weights: np.ndarray, z, scale: float)
     anchor each block at its last point and offset backwards instead, so
     the within-block factor never exceeds 1 in modulus: a sum whose terms
     are all finite stays finite.  ``z`` must be finite; a scalar z gives
-    a complex, an array the array of its shape.
+    a complex, an array the array of its shape.  A sum that overflows
+    raises OverflowError naming the points where it does.
     """
     zs = np.asarray(z, dtype=complex)
     shape = zs.shape
@@ -261,14 +262,20 @@ def _factored_sum(xi0: float, step: float, weights: np.ndarray, z, scale: float)
     within = np.arange(block)
     out = np.empty(zs.size, dtype=complex)
     up = zs.imag * step >= 0.0
-    for rows, front, anchor, offset in (
-        (up, False, starts, within),
-        (~up, True, starts + (block - 1 - pad), within - (block - 1)),
-    ):
-        if np.any(rows):
-            out[rows] = _anchored_blocks(
-                zs[rows], xi0 + step * anchor, step * offset, _blocks(weights, block, front))
-    out *= scale
+    # finite weights and points: a non-finite sum can only be an overflow,
+    # which is reported below rather than warned about here
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows, front, anchor, offset in (
+            (up, False, starts, within),
+            (~up, True, starts + (block - 1 - pad), within - (block - 1)),
+        ):
+            if np.any(rows):
+                out[rows] = _anchored_blocks(
+                    zs[rows], xi0 + step * anchor, step * offset, _blocks(weights, block, front))
+        out *= scale
+    overflow = ~np.isfinite(out)
+    if np.any(overflow):
+        raise OverflowError(f"lattice sum overflows at z = {zs[overflow].tolist()}")
     if shape == ():
         return complex(out[0])
     return out.reshape(shape)
@@ -322,7 +329,8 @@ def lattice_sum(F: Spectrum, z):
     the declared support are a contiguous slice of the spectrum, summed by
     the factored kernel without copying, and the zeros outside it are not
     summed at all.  Scalar z gives a complex, an array z the array of its
-    shape; non-finite z raises.
+    shape; non-finite z raises ValueError, and a sum that overflows raises
+    OverflowError.
     """
     return _slice_sum(F, *_support_range(F.grid, F.support), z)
 

@@ -28,23 +28,19 @@ __all__ = [
     "summability_verdict",
 ]
 
-_METHODS = ("last_value", "richardson_1")
-
 
 @dataclass(frozen=True)
 class Schedule:
     """Strictly decreasing positive scales with a convergence tolerance.
 
-    ``method`` chooses the limit estimator: ``last_value`` reads off the
-    final mean, ``richardson_1`` (the default) applies one step of
-    Richardson extrapolation against the leading O(t) error term, which
-    Poisson-type means of smooth functions exhibit.  Means whose error is
-    already O(t^2) lose nothing under the extrapolation.
+    The limit is estimated by one step of Richardson extrapolation against
+    the leading O(t) error term, which Poisson-type means of smooth
+    functions exhibit.  Means whose error is already O(t^2) lose nothing
+    under the extrapolation.
     """
 
     t_values: tuple
     convergence_tol: float = 1e-3
-    method: str = "richardson_1"
 
     def __post_init__(self):
         ts = tuple(float(t) for t in self.t_values)
@@ -56,8 +52,6 @@ class Schedule:
             raise ValueError("scales must be strictly decreasing")
         if not 0 < self.convergence_tol < math.inf:
             raise ValueError("convergence_tol must be finite and positive")
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
         object.__setattr__(self, "t_values", ts)
 
 
@@ -74,30 +68,29 @@ class SummabilityReport:
     limit_estimate: complex
     converged: bool
     residual: float
-    method_used: str
 
 
-def default_schedule(start: float = 0.1, ratio: float = 0.5, steps: int = 12,
-                     convergence_tol: float = 1e-3, method: str = "richardson_1") -> Schedule:
-    """Geometric schedule start * ratio**k, k = 0..steps-1.
+def default_schedule() -> Schedule:
+    """Geometric schedule 0.1 * 0.5**k, k = 0..11, with tolerance 1e-3.
 
     Twelve halvings from 0.1 reach t ~ 5e-5, deep enough that slowly
     converging means (Poisson-type tails give errors O(t log t)) settle
     under the extrapolated estimator.
     """
-    if not 0 < ratio < 1:
-        raise ValueError("ratio must lie in (0, 1)")
-    ts = tuple(start * ratio ** k for k in range(steps))
-    return Schedule(ts, convergence_tol, method)
+    return Schedule(tuple(0.1 * 0.5 ** k for k in range(12)))
 
 
 def _weighted_mean(h: SampledFunction, weights: np.ndarray) -> complex:
     # Any decay tag is acceptable here: the kernel factor supplies the
     # integrability that plain quadrature would have to assume.  The sums
     # are exact and correctly rounded, so independent of summation order.
+    # The weights are finite and nonnegative, so a zero sample times its
+    # weight is a zero of the same sign: an identically zero part is
+    # summed as it stands, without the product.
     scale = h.grid.spacing ** h.grid.n
+    imag = h.values.imag
     re = _exact_sum(h.values.real * weights)
-    im = _exact_sum(h.values.imag * weights)
+    im = _exact_sum(imag * weights if imag.any() else imag)
     return scale * complex(re, im)
 
 
@@ -168,7 +161,7 @@ def summability_verdict(h: SampledFunction, kind: str, schedule: Schedule) -> Su
     kind : {"abel", "gauss"}
         Damping family.
     schedule : Schedule
-        Scales, tolerance and limit estimator.
+        Scales and tolerance.
 
     Returns
     -------
@@ -184,10 +177,7 @@ def summability_verdict(h: SampledFunction, kind: str, schedule: Schedule) -> Su
         raise ValueError(f"kind must be 'abel' or 'gauss', got {kind!r}")
     ts = schedule.t_values
     means = np.array([mean(h, t) for t in ts], dtype=complex)
-    if schedule.method == "last_value":
-        sequence = list(means)
-    else:
-        sequence = _extrapolate(ts, list(means))
+    sequence = _extrapolate(ts, list(means))
     limit = complex(sequence[-1])
     residual = abs(sequence[-1] - sequence[-2])
     return SummabilityReport(
@@ -195,5 +185,4 @@ def summability_verdict(h: SampledFunction, kind: str, schedule: Schedule) -> Su
         limit_estimate=limit,
         converged=bool(residual <= schedule.convergence_tol),
         residual=float(residual),
-        method_used=schedule.method,
     )

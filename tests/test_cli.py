@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import abelharm
-from abelharm import SupportSpec, cli, default_schedule, evaluate_field, make_grid, sample_spectrum
+from abelharm import Schedule, SupportSpec, cli, default_schedule, evaluate_field, make_grid, sample_spectrum
 from abelharm.cli import (
     CheckResult,
     ConfigError,
@@ -232,7 +232,8 @@ def test_unconverged_means_fail_criterion_six_through_their_checks(tmp_path, mon
     # no schedule converges to 1e-300: the limit errors stay inside their
     # gate, so it is the convergence condition that fails the abel_limit
     # checks, and through them criterion 6
-    monkeypatch.setattr(cli, "default_schedule", lambda: default_schedule(convergence_tol=1e-300))
+    monkeypatch.setattr(cli, "default_schedule",
+                        lambda: Schedule(default_schedule().t_values, convergence_tol=1e-300))
     bundle = run(ExperimentConfig(suite="summability", output_dir=str(tmp_path)))
     limits = [c for c in bundle.checks if c.name.startswith("abel_limit")]
     assert len(limits) == 3

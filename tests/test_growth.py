@@ -10,6 +10,7 @@ from abelharm import (
     envelope_bound,
     estimate_type,
     evaluate_entire,
+    growth,
     make_grid,
     measure_real_bound,
     sample_spectrum,
@@ -103,11 +104,19 @@ def test_estimate_type_validation(flat_band):
 
 
 def test_estimate_type_names_the_heights_where_f_overflows(flat_band):
-    # f(iy) overflows to NaN from height 113 on; that is no zero of f
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(OverflowError, match=r"heights \[120\.0\]"):
-            estimate_type(flat_band, (2.0, 50.0, 120.0))
+    # f(iy) overflows from height 113 on; that is no zero of f
+    with pytest.raises(OverflowError, match=r"z = \[120j\]"):
+        estimate_type(flat_band, (2.0, 50.0, 120.0))
+
+
+def test_entire_values_and_envelopes_out_of_range_raise(flat_band):
+    # f(112i) is 6.8e302; one step up the sum and the envelope overflow
+    assert abs(evaluate_entire(flat_band, 112j)) < math.inf
+    with pytest.raises(OverflowError, match=r"z = \[\(0\.5\+113j\)\]"):
+        evaluate_entire(flat_band, np.array([0.5 + 2j, 0.5 + 113j]))
+    for y in (113.0, -113.0):
+        with pytest.raises(OverflowError, match=f"height {y!r}"):
+            envelope_bound(flat_band, y)
 
 
 def test_envelope_rejects_a_non_finite_height(flat_band):
@@ -146,14 +155,13 @@ def test_pl_bound_rejects_a_bound_that_is_not_finite_and_nonnegative(flat_band):
             check_pl_bound(flat_band, 2.0 * math.pi, B, ([0.0], [1.0]))
 
 
-def test_pl_bound_keeps_a_nan_row_wherever_it_stands(flat_band):
-    # the exponential sum overflows to NaN at height 200; at type 0 the
-    # ceiling stays finite there, so that row's margin is NaN
+def test_pl_bound_keeps_a_nan_row_wherever_it_stands(flat_band, monkeypatch):
+    # an evaluator that is NaN on the row at height 1 and 1 elsewhere
+    monkeypatch.setattr(growth, "evaluate_entire",
+                        lambda F, z: np.where(z.imag == 1.0, math.nan, 1.0))
     xs = np.array([0.0, 1.0])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for ys in ([0.0, 200.0], [200.0, 0.0]):
-            assert math.isnan(check_pl_bound(flat_band, 0.0, 2.0, (xs, ys)))
+    for ys in ([0.0, 1.0], [1.0, 0.0]):
+        assert math.isnan(check_pl_bound(flat_band, 2.0 * math.pi, 2.0, (xs, ys)))
 
 
 def test_zero_spectrum_passes_trivially():

@@ -324,13 +324,29 @@ def test_exact_sum_ties_and_zeros(xs):
     assert _bits(_exact_sum(np.array(xs, dtype=float))) == _bits(math.fsum(xs))
 
 
-@pytest.mark.parametrize("chunk, block", [(7, 3), (5, 5), (16, 4), (1, 1)])
+def _blockwise_cases(rng, block):
+    # zero and -0.0 blocks between nonzero blocks, with and without a
+    # nonzero total; one exponent over more than four blocks, where every
+    # lane of every block shares its bucket
+    gaps = rng.standard_normal(7 * block + 3)
+    gaps[block:3 * block] = 0.0
+    gaps[4 * block:5 * block] = -0.0
+    cancelling = np.zeros(7 * block + 3)
+    cancelling[[0, -1]] = 1.0, -1.0
+    cancelling[block:3 * block] = -0.0
+    one_exponent = rng.uniform(0.5, 1.0, 5 * block + 3) * rng.choice([-1.0, 1.0], 5 * block + 3)
+    return [gaps, cancelling, -np.zeros(3 * block + 1), one_exponent, one_exponent * 2.0 ** -1040]
+
+
+# block lengths 3, 5, 1 and 6 are not multiples of the lane count
+@pytest.mark.parametrize("chunk, block", [(7, 3), (5, 5), (16, 4), (1, 1), (40, 6)])
 def test_exact_sum_across_chunk_and_block_boundaries(monkeypatch, chunk, block):
     monkeypatch.setattr(sampled, "_CHUNK", chunk)
     monkeypatch.setattr(sampled, "_BLOCK", block)
     rng = np.random.default_rng(7)
-    for size in range(0, 3 * chunk + 2 * block + 3):
-        x = rng.standard_normal(size) * np.exp2(rng.integers(-1074, 1000, size))
+    cases = [rng.standard_normal(size) * np.exp2(rng.integers(-1074, 1000, size))
+             for size in range(0, 3 * chunk + 2 * block + 3)]
+    for x in cases + _blockwise_cases(rng, block):
         assert _bits(_exact_sum(x)) == _bits(math.fsum(x.tolist()))
 
 
@@ -359,16 +375,40 @@ def _complex_samples(grid):
     return sample_function(grid, func, decay_tag="integrable")
 
 
+def _real_samples(grid, sign, imag):
+    # sign times the real part of the complex samples, with an imaginary
+    # part of zeros of one sign
+    vals = sign * _complex_samples(grid).values.real + 0j
+    vals.imag = imag
+    return SampledFunction(grid, vals, "integrable")
+
+
 @pytest.mark.parametrize("grid", [make_grid(1, 40.0, 4096), make_grid(2, 8.0, 64)])
 def test_quadrature_and_means_match_fsum_on_complex_samples(grid):
-    f = _complex_samples(grid)
-    assert np.any(f.values.imag != 0.0)
+    assert np.any(_complex_samples(grid).values.imag != 0.0)
+    # a negative real sum lets the sign of a zero imaginary sum through
+    # the complex product with the quadrature weight
+    for f in (_complex_samples(grid), _real_samples(grid, 1.0, 0.0),
+              _real_samples(grid, 1.0, -0.0), _real_samples(grid, -1.0, -0.0)):
+        _assert_quadrature_and_means_match_fsum(f)
+
+
+def _assert_quadrature_and_means_match_fsum(f):
+    grid = f.grid
     r = np.abs(grid.axis()) if grid.n == 1 else np.sqrt(
         np.sum(grid.lattice() ** 2, axis=-1))
     weight = grid.spacing ** grid.n
     _assert_same_complex(integrate(f), weight * _fsum_oracle(f.values))
     for t in (0.3, 1e-2, 1e-4):
-        damped = f.values * np.exp(-2.0 * math.pi * t * r)
+        damped = _damp(f.values, np.exp(-2.0 * math.pi * t * r))
         _assert_same_complex(abel_mean(f, t), weight * _fsum_oracle(damped))
-        damped = f.values * np.exp(-math.pi * (t * t) * r * r)
+        damped = _damp(f.values, np.exp(-math.pi * (t * t) * r * r))
         _assert_same_complex(gauss_mean(f, t), weight * _fsum_oracle(damped))
+
+
+def _damp(values, weights):
+    # each part times the weights; a complex product would add a zero of
+    # the other part's sign to a zero part
+    out = np.empty_like(values)
+    out.real, out.imag = values.real * weights, values.imag * weights
+    return out
