@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import KernelSpec, sample_kernel
-from .sampled import SampledFunction, convolve
+from .sampled import SampledFunction, _check_scale, convolve
 from .spectral import (
     Spectrum,
     SupportSpec,
@@ -180,8 +180,7 @@ def cauchy_represent(f: SampledFunction, side: str, t: float, x):
     transform or spectral path is involved: this is an independent oracle
     for the half-plane extension.
     """
-    if not t > 0:
-        raise ValueError(f"scale must be positive, got {t}")
+    _check_scale(t)
     if side not in ("upper", "lower"):
         raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
     if f.decay_tag == "bounded-only":
@@ -230,8 +229,7 @@ def poisson_extend(f: SampledFunction, t: float) -> SampledFunction:
     Convolves f with the sampled Poisson kernel at scale t; as t -> 0 the
     extension returns to f uniformly on any fixed compact window.
     """
-    if not t > 0:
-        raise ValueError(f"scale must be positive, got {t}")
+    _check_scale(t)
     kernel = sample_kernel(f.grid, KernelSpec("poisson", t, f.grid.n))
     return convolve(kernel, f)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampled import Grid, SampledFunction
+from .sampled import Grid, SampledFunction, _check_scale
 
 __all__ = [
     "KernelSpec",
@@ -62,8 +62,7 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
-        if not self.t > 0:
-            raise ValueError(f"scale must be positive, got {self.t}")
+        _check_scale(self.t)
         if self.n not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.n}")
         if self.family in ("abel_plus", "abel_minus") and self.n != 1:
@@ -78,11 +77,6 @@ def radius(x, n: int = 1) -> np.ndarray:
     if a.shape == () or a.shape[-1] != n:
         raise ValueError(f"expected last axis of length {n}, got shape {a.shape}")
     return np.sqrt(np.sum(a * a, axis=-1))
-
-
-def _check_scale(t):
-    if not t > 0:
-        raise ValueError(f"scale must be positive, got {t}")
 
 
 def abel_kernel(t: float, x, n: int = 1):

@@ -140,6 +140,12 @@ class SampledFunction:
         object.__setattr__(self, "values", vals)
 
 
+def _check_scale(t) -> None:
+    """Reject a scale parameter outside 0 < t < inf, NaN among them."""
+    if not 0 < t < math.inf:
+        raise ValueError(f"scale must be finite and positive, got {t}")
+
+
 def make_grid(n: int, half_width: float, points: int) -> Grid:
     """Build a validated uniform grid on [-half_width, half_width)^n."""
     return Grid(n, float(half_width), int(points))
@@ -282,16 +288,18 @@ def convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:
 
     Computed with zero-padded FFTs, which gives the linear (non-circular)
     discrete convolution exactly; the only approximations are the
-    quadrature rule itself and the box truncation.  Padding doubles each
-    axis, so no wrap-around from the periodic transform ever touches the
-    returned window.
+    quadrature rule itself and the box truncation.  Each axis is padded
+    from N to 3N/2 points.  The linear convolution has indices 0 .. 2N - 2
+    and the returned window is N/2 .. 3N/2 - 1; the periodic transform
+    wraps the indices 3N/2 .. 2N - 2 onto 0 .. N/2 - 2, all below the
+    window, so the window is the linear convolution exactly.
 
     The transforms are real: each factor splits into its real and
     imaginary parts, only the parts that are not identically zero are
     transformed, and the real and imaginary parts of the result come back
     from the products of those spectra.  Two real factors thus cost three
-    half-size transforms, and their convolution has an imaginary part that
-    is exactly zero.
+    real transforms of length 3N/2, and their convolution has an imaginary
+    part that is exactly zero.
     """
     if f.grid != g.grid:
         raise ValueError("convolve requires both functions on the same grid")
@@ -301,7 +309,7 @@ def convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:
     n = f.grid.n
     N = f.grid.points
     shape = (N,) * n
-    padded = (2 * N,) * n
+    padded = (3 * N // 2,) * n
     axes = tuple(range(n))
     # Linear-convolution index j + k maps to lattice point x_j + x_k + R,
     # so the centered window starts at offset N/2 on each axis.

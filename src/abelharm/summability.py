@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import abel_kernel
-from .sampled import Grid, SampledFunction, _exact_sum, radial_integrate
+from .sampled import Grid, SampledFunction, _check_scale, _exact_sum, radial_integrate
 
 __all__ = [
     "Schedule",
@@ -109,15 +109,13 @@ def _radii(grid: Grid) -> np.ndarray:
 
 def abel_mean(h: SampledFunction, t: float) -> complex:
     """Exponentially damped mean of lattice samples at scale t."""
-    if not t > 0:
-        raise ValueError(f"scale must be positive, got {t}")
+    _check_scale(t)
     return _weighted_mean(h, np.exp(-2.0 * math.pi * t * _radii(h.grid)))
 
 
 def gauss_mean(h: SampledFunction, s: float) -> complex:
     """Gaussian damped mean of lattice samples at scale s."""
-    if not s > 0:
-        raise ValueError(f"scale must be positive, got {s}")
+    _check_scale(s)
     r = _radii(h.grid)
     return _weighted_mean(h, np.exp(-math.pi * (s * s) * r * r))
 
@@ -132,8 +130,7 @@ def abel_mean_radial(profile, n: int, t: float, upper: float = math.inf) -> floa
     on the array of the rule's radii.  ``upper`` must be positive, and a
     weighted integrand value that is not finite raises ValueError.
     """
-    if not t > 0:
-        raise ValueError(f"scale must be positive, got {t}")
+    _check_scale(t)
     return radial_integrate(lambda r: profile(r) * abel_kernel(t, r), n, upper)
 
 

@@ -138,6 +138,16 @@ def test_cauchy_represent_rejects_non_finite_points(bad):
             cauchy_represent(f, "lower", 0.5, x)
 
 
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_cauchy_represent_and_poisson_extend_reject_a_non_finite_scale(t):
+    # an infinite height would otherwise give nan+nanj from the oracle
+    f = sample_function(make_grid(1, 2.0, 8), lambda x: np.exp(-math.pi * x * x))
+    with pytest.raises(ValueError, match="finite and positive"):
+        cauchy_represent(f, "upper", t, 0.0)
+    with pytest.raises(ValueError, match="finite and positive"):
+        poisson_extend(f, t)
+
+
 def test_poisson_extend_semigroup():
     g = make_grid(1, 100.0, 2 ** 14)
     p1 = sample_kernel(g, KernelSpec("poisson", 1.0, 1))

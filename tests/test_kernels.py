@@ -32,6 +32,22 @@ def test_kernel_spec_validation():
         KernelSpec("gauss", 1.0, n=5)
 
 
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_kernels_reject_a_non_finite_scale(t):
+    for make in (
+        lambda: KernelSpec("gauss", t, 1),
+        lambda: abel_kernel(t, 0.0),
+        lambda: gauss_kernel(t, 0.0),
+        lambda: poisson_kernel(1, t, 0.0),
+        lambda: abel_ft(1, t, 0.0),
+        lambda: half_kernel("+", t, 0.0),
+        lambda: half_kernel_ft("-", t, 0.0),
+        lambda: abel_from_gaussians(t, 0.0),
+    ):
+        with pytest.raises(ValueError, match="finite and positive"):
+            make()
+
+
 def test_abel_kernel_values():
     assert abel_kernel(1.0, 0.0) == 1.0
     assert abel_kernel(0.5, 1.0) == pytest.approx(math.exp(-math.pi))

@@ -135,6 +135,36 @@ def _fftn_convolution(f, g):
     return f.grid.spacing ** n * c[(slice(N // 2, N // 2 + N),) * n].ravel()
 
 
+def _direct_convolution(f, g):
+    """spacing^n sum_j f_j g_{i - j + N/2} per window index i, term by term."""
+    n, N = f.grid.n, f.grid.points
+    i = np.arange(N)
+    idx = i[:, None] - i[None, :] + N // 2
+    inside = (idx >= 0) & (idx < N)
+    idx = np.clip(idx, 0, N - 1)
+    fv, gv = f.values.reshape((N,) * n), g.values.reshape((N,) * n)
+    if n == 1:
+        h = np.where(inside, gv[idx], 0.0) @ fv
+    else:
+        kernel = np.where(inside[:, :, None, None] & inside[None, None],
+                          gv[idx[:, :, None, None], idx[None, None]], 0.0)
+        h = np.einsum("ajbk,jk->ab", kernel, fv)
+    return f.grid.spacing ** n * h.ravel()
+
+
+@pytest.mark.parametrize("n, points", [(1, 4), (1, 6), (1, 10), (1, 90), (2, 4), (2, 6), (2, 10)])
+def test_convolve_window_is_the_direct_sum(n, points):
+    # the padded transforms are 3N/2 long: the wrap-around of the linear
+    # convolution (indices 3N/2 .. 2N-2) lands on 0 .. N/2-2, below the
+    # window, whether N/2 is odd or even
+    rng = np.random.default_rng(points)
+    g = make_grid(n, 2.5, points)
+    f, h = (SampledFunction(g, rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size))
+            for _ in range(2))
+    scale = np.sum(np.abs(f.values)) * np.sum(np.abs(h.values)) * g.spacing ** n
+    assert np.max(np.abs(convolve(f, h).values - _direct_convolution(f, h))) <= 1e-14 * scale
+
+
 _PARTS = {
     "real": lambda rng, k: rng.standard_normal(k),
     "imaginary": lambda rng, k: 1j * rng.standard_normal(k),

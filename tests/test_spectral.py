@@ -153,6 +153,30 @@ def test_inverse_ft_of_origin_sample_is_exact_sign_pattern(half_width, points):
     assert np.array_equal(f.values, freq.spacing * _sign_pattern(points))
 
 
+@pytest.mark.parametrize("points", [6, 90, 2 ** 14])
+@pytest.mark.parametrize("imag", [0.0, -0.0])
+def test_transforms_of_real_samples_are_exactly_hermitian(points, imag):
+    # real input takes the real FFT and mirrors it: the entry at index N - k
+    # (frequency -xi_k) is the conjugate of entry k, bit for bit, in either
+    # direction, and the values are those of the complex DFT with the same
+    # sign pattern
+    rng = np.random.default_rng(points)
+    g = make_grid(1, 3.0, points)
+    vals = np.empty(points, dtype=complex)
+    vals.real = rng.standard_normal(points)
+    vals.imag = imag
+    flip = 1.0 - 2.0 * (np.arange(points) % 2)
+    k = np.arange(1, points)
+    for out, dft in (
+        (forward_ft(SampledFunction(g, vals)).values, np.fft.fft(flip * vals)),
+        (inverse_ft(Spectrum(g, vals, SupportSpec.full_line())).values,
+         np.fft.ifft(flip * vals, norm="forward")),
+    ):
+        assert np.array_equal(out[points - k], np.conj(out[k]))
+        ref = g.spacing * _sign_pattern(points) * dft
+        assert np.max(np.abs(out - ref)) <= 1e-15 * g.spacing * np.sum(np.abs(vals))
+
+
 def test_inverse_of_two_sided_exponential_is_poisson():
     # periodization of the slow 1/x^2 tails controls the error, so the box
     # must be wide; spacing can stay coarse
@@ -216,6 +240,14 @@ def test_damped_inverse_requires_positive_scale():
     F = sample_spectrum(g, lambda xi: np.exp(-xi * xi), SupportSpec.full_line())
     with pytest.raises(ValueError):
         abel_regularized_inverse(F, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_damped_inverse_rejects_a_non_finite_scale(t):
+    g = make_grid(1, 4.0, 64)
+    F = sample_spectrum(g, lambda xi: np.exp(-xi * xi), SupportSpec.full_line())
+    with pytest.raises(ValueError, match="finite and positive"):
+        abel_regularized_inverse(F, t, 0.0)
 
 
 @given(

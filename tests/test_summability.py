@@ -46,6 +46,15 @@ def test_schedule_rejects_a_non_finite_tolerance(tol):
     with pytest.raises(ValueError, match="finite and positive"):
         Schedule((0.1, 0.05, 0.025, 0.0125), convergence_tol=tol)
 
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_damped_means_reject_a_non_finite_scale(t):
+    h = sample_function(make_grid(1, 4.0, 64), lambda x: np.exp(-x * x))
+    for mean in (lambda: abel_mean(h, t), lambda: gauss_mean(h, t),
+                 lambda: abel_mean_radial(lambda r: np.exp(-r * r), 1, t)):
+        with pytest.raises(ValueError, match="finite and positive"):
+            mean()
+
+
 def test_default_schedule_is_geometric():
     s = default_schedule()
     assert len(s.t_values) == 12
