@@ -70,10 +70,11 @@ def measure_real_bound(F: Spectrum, window: float = 50.0) -> float:
 
     Stand-in for the supremum over the whole line; band-limited functions
     attain their near-sup within a modest window, and tests confirm the
-    measured value stabilizes as the window grows.
+    measured value stabilizes as the window grows.  The window must be
+    finite and positive.
     """
-    if not window > 0:
-        raise ValueError(f"window must be positive, got {window!r}")
+    if not 0 < window < math.inf:
+        raise ValueError(f"window must be finite and positive, got {window!r}")
     xs = np.arange(-window, window + 0.005, 0.01)
     return float(np.max(np.abs(evaluate_entire(F, xs))))
 
@@ -129,7 +130,8 @@ def check_pl_bound(F: Spectrum, sigma: float, B: float, lattice) -> float:
     of f anywhere on it makes the margin NaN.  A ``sigma`` below the
     spectral type 2 pi max(|a|, |b|) warns, since the bound is then
     expected to fail; it stays allowed so that the rejection of an
-    understated type can be demonstrated.
+    understated type can be demonstrated.  A ceiling B exp(sigma |y|) out
+    of range raises OverflowError naming the height.
     """
     _require_band(F, "check_pl_bound")
     if not math.isfinite(sigma):
@@ -150,8 +152,13 @@ def check_pl_bound(F: Spectrum, sigma: float, B: float, lattice) -> float:
         )
     margins = []
     for y in ys:
+        try:
+            ceiling = B * math.exp(sigma * abs(y))
+        except OverflowError:
+            ceiling = math.inf
+        if ceiling == math.inf:
+            raise OverflowError(f"ceiling overflows at height {float(y)!r}")
         vals = np.abs(evaluate_entire(F, xs + 1j * y))
-        ceiling = B * math.exp(sigma * abs(y))
         if ceiling == 0.0:
             # zero bound: the check degenerates to requiring f to vanish
             margins.append(0.0 if np.all(vals == 0.0) else math.inf)

@@ -195,8 +195,9 @@ def cauchy_represent(f: SampledFunction, side: str, t: float, x):
     pts = np.zeros(batches * rows)
     pts[: xs.size] = xs.ravel()
     pts = pts.reshape(batches, rows)
-    # row j of f_ab is [Re f_j, Im f_j], a view of the complex samples
-    f_ab = np.ascontiguousarray(f.values).view(np.float64).reshape(-1, 2)
+    # row j of f_ab is [Re f_j, Im f_j], a view of the complex samples;
+    # real samples are made complex first, so the products keep their shape
+    f_ab = np.ascontiguousarray(f.values, dtype=complex).view(np.float64).reshape(-1, 2)
     # sums[b, :rows] = D @ f_ab and sums[b, rows:] = uD @ f_ab for batch b
     sums = np.zeros((batches, 2 * rows, 2))
     u = np.empty((rows, min(chunk, g.points)))

@@ -228,11 +228,11 @@ def sample_kernel(grid: Grid, spec: KernelSpec) -> SampledFunction:
     """Sample a kernel on a grid with the right decay declaration.
 
     Exponentially decaying families are tagged schwartz-like; the Poisson
-    family, with its algebraic tail, is tagged integrable.
+    family, with its algebraic tail, is tagged integrable.  Every kernel
+    is real, so its samples are float64.
     """
     if grid.n != spec.n:
         raise ValueError(f"grid dimension {grid.n} != kernel dimension {spec.n}")
     pts = grid.axis() if grid.n == 1 else grid.lattice()
-    vals = kernel_value(spec, pts)
     tag = "integrable" if spec.family == "poisson" else "schwartz-like"
-    return SampledFunction(grid, vals.astype(complex), tag)
+    return SampledFunction(grid, kernel_value(spec, pts), tag)

@@ -115,12 +115,18 @@ class Grid:
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """Complex samples of a function on a :class:`Grid`.
+    """Real or complex samples of a function on a :class:`Grid`.
 
     ``values`` is stored flat in lexicographic order over the lattice.
-    ``decay_tag`` declares what is known about decay outside the box and
-    gates whether box quadrature may be reported as an approximation of a
-    convergent improper integral.  Every sample must be finite.
+    Real input (float, integer or boolean) is stored as float64 and
+    complex input as complex128.  The dtype, not a scan of the samples,
+    tells transforms, convolutions and sums that the samples are real, so
+    they carry no imaginary half; complex samples whose imaginary part is
+    all zero stay complex128.  Spectra are always complex (see
+    :class:`abelharm.spectral.Spectrum`).  ``decay_tag`` declares what is
+    known about decay outside the box and gates whether box quadrature
+    may be reported as an approximation of a convergent improper
+    integral.  Every sample must be finite.
     """
 
     grid: Grid
@@ -128,7 +134,8 @@ class SampledFunction:
     decay_tag: str = "schwartz-like"
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
+        vals = np.asarray(self.values)
+        vals = vals.astype(complex if np.iscomplexobj(vals) else np.float64, copy=False)
         if vals.shape != (self.grid.size,):
             raise ValueError(
                 f"values must have shape ({self.grid.size},), got {vals.shape}"
@@ -156,13 +163,11 @@ def sample_function(grid, func, decay_tag="schwartz-like"):
 
     For n = 1 the callable receives the coordinate axis as a 1-D array.
     For n >= 2 it receives the full lattice as an array of shape
-    (size, n), one point per row.
+    (size, n), one point per row.  Real values give float64 samples and
+    complex values complex128 samples (see :class:`SampledFunction`).
     """
-    if grid.n == 1:
-        vals = np.asarray(func(grid.axis()))
-    else:
-        vals = np.asarray(func(grid.lattice()))
-    return SampledFunction(grid, vals.astype(complex), decay_tag)
+    pts = grid.axis() if grid.n == 1 else grid.lattice()
+    return SampledFunction(grid, func(pts), decay_tag)
 
 
 # An addend's bucket is its np.frexp exponent, which runs from -1073 (the
@@ -252,6 +257,8 @@ def integrate(f: SampledFunction) -> complex:
     does not approximate a convergent improper integral.  The real and
     imaginary sums are exact and correctly rounded, so they do not depend
     on the order of the samples and repeated runs give the same bits.
+    Real samples have no imaginary sum; in its place stands the +0.0 that
+    a sum of zeros gives.
     """
     if f.decay_tag == "bounded-only":
         raise ValueError(
@@ -259,7 +266,9 @@ def integrate(f: SampledFunction) -> complex:
             "use a damped mean for bounded-only samples"
         )
     weight = f.grid.spacing ** f.grid.n
-    return weight * complex(_exact_sum(f.values.real), _exact_sum(f.values.imag))
+    vals = f.values
+    im = _exact_sum(vals.imag) if np.iscomplexobj(vals) else 0.0
+    return weight * complex(_exact_sum(vals.real), im)
 
 
 def _product_spectra(f, g, shape, padded, axes):
@@ -268,11 +277,14 @@ def _product_spectra(f, g, shape, padded, axes):
     (f_re + i f_im)(g_re + i g_im) = f_re g_re - f_im g_im + i (f_re g_im
     + f_im g_re).  Only the parts that are not identically zero are
     transformed, and a product with an identically zero part drops out; a
-    part of f*g with no product left is None.
+    part of f*g with no product left is None.  Real samples have no
+    imaginary part to transform.
     """
     def parts(h):
-        halves = (h.values.real.reshape(shape), h.values.imag.reshape(shape))
-        return [np.fft.rfftn(x, s=padded, axes=axes) if x.any() else None for x in halves]
+        vals = h.values.reshape(shape)
+        halves = (vals.real, vals.imag) if np.iscomplexobj(vals) else (vals, None)
+        return [None if x is None or not x.any() else np.fft.rfftn(x, s=padded, axes=axes)
+                for x in halves]
 
     (f_re, f_im), (g_re, g_im) = parts(f), parts(g)
     minus_g_im = None if f_im is None or g_im is None else -g_im
@@ -298,8 +310,10 @@ def convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:
     imaginary parts, only the parts that are not identically zero are
     transformed, and the real and imaginary parts of the result come back
     from the products of those spectra.  Two real factors thus cost three
-    real transforms of length 3N/2, and their convolution has an imaginary
-    part that is exactly zero.
+    real transforms of length 3N/2, and their convolution is real: float64
+    samples, like its factors.  A complex factor gives complex128 samples,
+    whose imaginary part is exactly zero when no factor has a nonzero
+    imaginary sample.
     """
     if f.grid != g.grid:
         raise ValueError("convolve requires both functions on the same grid")
@@ -314,8 +328,14 @@ def convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:
     # Linear-convolution index j + k maps to lattice point x_j + x_k + R,
     # so the centered window starts at offset N/2 on each axis.
     window = (slice(N // 2, N // 2 + N),) * n
-    vals = np.zeros(shape, dtype=complex)
-    for part, spectrum in zip((vals.real, vals.imag), _product_spectra(f, g, shape, padded, axes)):
+    if np.iscomplexobj(f.values) or np.iscomplexobj(g.values):
+        vals = np.zeros(shape, dtype=complex)
+        parts = (vals.real, vals.imag)
+    else:
+        # two real factors leave the imaginary part without a spectrum
+        vals = np.zeros(shape)
+        parts = (vals,)
+    for part, spectrum in zip(parts, _product_spectra(f, g, shape, padded, axes)):
         if spectrum is not None:
             part[...] = np.fft.irfftn(spectrum, s=padded, axes=axes)[window]
     vals *= f.grid.spacing ** n

@@ -99,7 +99,10 @@ class Spectrum:
     """Complex samples of a transform on a 1-D frequency grid.
 
     Values must be finite, and must vanish exactly (not merely be small)
-    at lattice points outside the declared support.
+    at lattice points outside the declared support.  They are complex128
+    even where they are real: the off-lattice sums multiply them by
+    complex phases, and a real spectrum would be converted to complex on
+    every such sum.
     """
 
     grid: Grid
@@ -130,17 +133,20 @@ def _centred_dft(values: np.ndarray, spacing: float, inverse: bool) -> np.ndarra
     real sign (-1)^(N/2) (-1)^j (-1)^k: exact negations before and after an
     unnormalized FFT, and no exponential.
 
-    Real samples (imaginary part all zero, of either sign) take a real FFT
-    of half the work, written straight into the first N/2 + 1 outputs; the
-    rest is their Hermitian mirror out[N - k] = conj(out[k]), exact, and
-    the sign pattern keeps it so, since (-1)^(N-k) = (-1)^k.  The inverse
-    kernel is the conjugate of the forward one, so a real input conjugates
-    the result.  Complex samples are transformed in place in their
-    sign-flipped copy.
+    Real samples take a real FFT of half the work, written straight into
+    the first N/2 + 1 outputs; the rest is their Hermitian mirror
+    out[N - k] = conj(out[k]), exact, and the sign pattern keeps it so,
+    since (-1)^(N-k) = (-1)^k.  The inverse kernel is the conjugate of the
+    forward one, so a real input conjugates the result.  A float64 array
+    is real by its dtype; a complex one is real when its imaginary part is
+    all zero, of either sign, as in a real spectrum sampled in closed
+    form, and gives the same bits as its real part would.  Other complex
+    samples are transformed in place in their sign-flipped copy.  The
+    result is complex128 in every case.
     """
     size = values.size
     out = np.empty(size, dtype=complex)
-    if values.imag.any():
+    if np.iscomplexobj(values) and values.imag.any():
         out[...] = values
         out[1::2] *= -1.0
         if inverse:

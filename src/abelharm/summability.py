@@ -86,11 +86,15 @@ def _weighted_mean(h: SampledFunction, weights: np.ndarray) -> complex:
     # are exact and correctly rounded, so independent of summation order.
     # The weights are finite and nonnegative, so a zero sample times its
     # weight is a zero of the same sign: an identically zero part is
-    # summed as it stands, without the product.
+    # summed as it stands, without the product.  Real samples have no
+    # imaginary part; the sum of its zeros would be +0.0.
     scale = h.grid.spacing ** h.grid.n
-    imag = h.values.imag
-    re = _exact_sum(h.values.real * weights)
-    im = _exact_sum(imag * weights if imag.any() else imag)
+    vals = h.values
+    re = _exact_sum(vals.real * weights)
+    im = 0.0
+    if np.iscomplexobj(vals):
+        imag = vals.imag
+        im = _exact_sum(imag * weights if imag.any() else imag)
     return scale * complex(re, im)
 
 

@@ -155,6 +155,20 @@ def test_pl_bound_rejects_a_bound_that_is_not_finite_and_nonnegative(flat_band):
             check_pl_bound(flat_band, 2.0 * math.pi, B, ([0.0], [1.0]))
 
 
+def test_pl_bound_names_the_height_where_the_ceiling_overflows(flat_band):
+    # exp(10 * 100) is out of range, and so is 1e300 * exp(10 * 10); f
+    # itself stays finite at both heights
+    for B, y in ((1.0, 100.0), (1e300, -10.0)):
+        with pytest.raises(OverflowError, match=f"height {y!r}"):
+            check_pl_bound(flat_band, 10.0, B, ([0.0], [0.0, y]))
+
+
+@pytest.mark.parametrize("window", [math.inf, math.nan, 0.0, -1.0])
+def test_measured_bound_needs_a_finite_positive_window(flat_band, window):
+    with pytest.raises(ValueError, match=f"window must be finite and positive, got {window!r}"):
+        measure_real_bound(flat_band, window)
+
+
 def test_pl_bound_keeps_a_nan_row_wherever_it_stands(flat_band, monkeypatch):
     # an evaluator that is NaN on the row at height 1 and 1 elsewhere
     monkeypatch.setattr(growth, "evaluate_entire",

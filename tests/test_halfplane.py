@@ -193,6 +193,33 @@ def test_split_reassembles_random_samples(half_points, half_width, seed):
     assert np.max(np.abs(recon - f.values)) <= 1e-12 * np.max(np.abs(f.values))
 
 
+@given(
+    half_points=st.integers(2, 300),
+    half_width=st.floats(0.5, 50.0),
+    t=st.floats(0.01, 5.0),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_real_samples_give_the_bits_of_complex_ones(half_points, half_width, t, seed):
+    # the split, the harmonic extension and the Cauchy oracle of float64
+    # samples against the same samples typed complex128, imaginary parts +0.0
+    rng = np.random.default_rng(seed)
+    g = make_grid(1, half_width, 2 * half_points)
+    vals = rng.standard_normal(g.size) * 10.0 ** rng.integers(-6, 7, g.size)
+    real, cplx = SampledFunction(g, vals), SampledFunction(g, vals + 0j)
+
+    def same(a, b):
+        return np.asarray(a, dtype=complex).tobytes() == np.asarray(b, dtype=complex).tobytes()
+
+    for got, want in zip(hardy_split(real), hardy_split(cplx)):
+        assert same(got.values, want.values)
+    ext = poisson_extend(real, t)
+    assert ext.values.dtype == np.float64
+    assert same(ext.values, poisson_extend(cplx, t).values)
+    x = rng.uniform(-2.0 * half_width, 2.0 * half_width, 5)
+    for side in ("upper", "lower"):
+        assert same(cauchy_represent(real, side, t, x), cauchy_represent(cplx, side, t, x))
+
+
 # the Cauchy kernel of each side in closed form: 1/(2 pi (t - ix)) reproduces
 # the upper extension, its conjugate the lower one; these are the half-line
 # kernel transforms of sign "-" and "+", read at x

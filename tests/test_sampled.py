@@ -8,15 +8,19 @@ from hypothesis import assume, example, given, strategies as st
 
 from abelharm import (
     Grid,
+    KernelSpec,
     SampledFunction,
     abel_mean,
     convolve,
+    forward_ft,
     gauss_mean,
     integrate,
+    inverse_ft,
     make_grid,
     poisson_kernel,
     radial_integrate,
     sample_function,
+    sample_kernel,
 )
 from abelharm import sampled
 from abelharm.sampled import _exact_sum
@@ -229,6 +233,79 @@ def test_sampled_function_rejects_non_finite_samples(bad):
         SampledFunction(g, vals)
     with pytest.raises(ValueError, match="finite"):
         sample_function(g, lambda x: np.where(x == x[3], bad, 1.0))
+
+
+@pytest.mark.parametrize("values, dtype", [
+    (np.arange(8), np.float64),
+    (np.ones(8, dtype=bool), np.float64),
+    (np.ones(8, dtype=np.float32), np.float64),
+    (np.ones(8), np.float64),
+    ([0.5] * 8, np.float64),
+    (np.ones(8, dtype=np.complex64), np.complex128),
+    (np.ones(8) + 0j, np.complex128),
+    ([0.5 + 0j] * 8, np.complex128),
+])
+def test_samples_are_float64_when_real_and_complex128_when_complex(values, dtype):
+    # the dtype of the input, not the values, decides: a complex array with
+    # a zero imaginary part stays complex
+    f = SampledFunction(make_grid(1, 1.0, 8), values)
+    assert f.values.dtype == dtype
+    assert np.array_equal(f.values, np.asarray(values))
+
+
+def test_real_samples_stay_float64_and_transforms_are_complex():
+    g = make_grid(1, 4.0, 64)
+    gauss = sample_function(g, lambda x: np.exp(-x * x))
+    assert gauss.values.dtype == np.float64
+    assert sample_function(g, lambda x: np.ones(x.size, dtype=int)).values.dtype == np.float64
+    assert sample_function(g, lambda x: np.exp(1j * x)).values.dtype == np.complex128
+    assert sample_function(g, lambda x: x + 0j).values.dtype == np.complex128
+    for family in ("abel", "gauss", "poisson", "abel_plus", "abel_minus"):
+        assert sample_kernel(g, KernelSpec(family, 1.0)).values.dtype == np.float64
+    # two real factors convolve to real samples; a complex factor, even one
+    # with a zero imaginary part, gives complex samples
+    assert convolve(gauss, gauss).values.dtype == np.float64
+    as_complex = SampledFunction(g, gauss.values + 0j)
+    assert convolve(gauss, as_complex).values.dtype == np.complex128
+    assert convolve(as_complex, gauss).values.dtype == np.complex128
+    # transforms are complex whatever the samples
+    F = forward_ft(gauss)
+    assert F.values.dtype == np.complex128
+    assert inverse_ft(F).values.dtype == np.complex128
+    assert forward_ft(as_complex).values.dtype == np.complex128
+
+
+def _complex_bytes(x):
+    """The bytes of x as complex128: a real array gets +0.0 imaginary parts."""
+    return np.asarray(x, dtype=complex).tobytes()
+
+
+def _real_and_complex(rng, grid):
+    """The same real samples typed float64 and complex128, imaginary parts +0.0."""
+    vals = rng.standard_normal(grid.size) * 10.0 ** rng.integers(-6, 7, grid.size)
+    return SampledFunction(grid, vals), SampledFunction(grid, vals + 0j)
+
+
+@given(
+    half_points=st.integers(2, 300),
+    half_width=st.floats(0.5, 50.0),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+@example(half_points=2 ** 12, half_width=30.0, seed=0)
+def test_real_samples_give_the_bits_of_complex_ones(half_points, half_width, seed):
+    # the float64 path of each operation against the complex128 one on the
+    # same real samples
+    rng = np.random.default_rng(seed)
+    g = make_grid(1, half_width, 2 * half_points)
+    real, cplx = _real_and_complex(rng, g)
+    other = SampledFunction(g, rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size))
+    F = forward_ft(real)
+    assert _complex_bytes(F.values) == _complex_bytes(forward_ft(cplx).values)
+    assert _complex_bytes(inverse_ft(F).values) == _complex_bytes(inverse_ft(forward_ft(cplx)).values)
+    assert _complex_bytes(convolve(real, real).values) == _complex_bytes(convolve(cplx, cplx).values)
+    assert _complex_bytes(convolve(real, other).values) == _complex_bytes(convolve(cplx, other).values)
+    assert _complex_bytes(convolve(other, real).values) == _complex_bytes(convolve(other, cplx).values)
+    assert _complex_bytes(integrate(real)) == _complex_bytes(integrate(cplx))
 
 
 def test_radial_integrate_matches_cartesian():

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from abelharm import (
     KernelSpec,
+    SampledFunction,
     Schedule,
     abel_mean,
     abel_mean_radial,
@@ -150,3 +151,22 @@ def test_radii_are_built_once_per_grid_and_read_only():
     assert not r.flags.writeable
     np.testing.assert_array_equal(r, np.sqrt(np.sum(g.lattice() ** 2, axis=-1)))
     np.testing.assert_array_equal(_radii(make_grid(1, 2.0, 8)), np.abs(g.axis()))
+
+
+@given(
+    half_points=st.integers(2, 300),
+    half_width=st.floats(0.5, 50.0),
+    t=st.floats(1e-5, 10.0),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_real_samples_give_the_means_of_complex_ones(half_points, half_width, t, seed):
+    # float64 samples skip the imaginary sum; the means keep every bit of
+    # those of the same samples typed complex128 with +0.0 imaginary parts
+    rng = np.random.default_rng(seed)
+    g = make_grid(1, half_width, 2 * half_points)
+    vals = rng.standard_normal(g.size) * 10.0 ** rng.integers(-6, 7, g.size)
+    real, cplx = SampledFunction(g, vals), SampledFunction(g, vals + 0j)
+    assert real.values.dtype == np.float64
+    for mean in (abel_mean, gauss_mean):
+        a, b = mean(real, t), mean(cplx, t)
+        assert np.array([a]).tobytes() == np.array([b]).tobytes()
