@@ -453,7 +453,7 @@ def _run_hardy():
         ("poisson", lambda x: poisson_kernel(1, 1.0, x)),
         ("abel", lambda x: np.exp(-2.0 * math.pi * np.abs(x))),
     ):
-        f = sample_function(grid_s, func, decay_tag="integrable" if name == "poisson" else "schwartz-like")
+        f = sample_function(grid_s, func)
         plus, minus = hardy_split(f)
         recon = inverse_ft(plus).values + inverse_ft(minus).values
         err = float(np.max(np.abs(recon - f.values)))

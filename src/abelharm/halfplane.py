@@ -78,8 +78,6 @@ def hardy_split(f: SampledFunction):
     nonnegative side, so the two spectra partition the transform exactly
     and their inverse transforms reassemble f up to rounding.
     """
-    if f.grid.n != 1:
-        raise ValueError("hardy_split is defined for 1-D grids")
     F = forward_ft(f)
     plus = project_spectrum(F, SupportSpec.nonneg())
     minus = project_spectrum(F, SupportSpec.nonpos())
@@ -183,10 +181,6 @@ def cauchy_represent(f: SampledFunction, side: str, t: float, x):
     _check_scale(t)
     if side not in ("upper", "lower"):
         raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
-    if f.decay_tag == "bounded-only":
-        raise ValueError("cauchy_represent requires integrable or schwartz-like samples")
-    if f.grid.n != 1:
-        raise ValueError("cauchy_represent is defined for 1-D grids")
     xs = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xs)):
         raise ValueError("evaluation points must be finite")
@@ -231,7 +225,7 @@ def poisson_extend(f: SampledFunction, t: float) -> SampledFunction:
     extension returns to f uniformly on any fixed compact window.
     """
     _check_scale(t)
-    kernel = sample_kernel(f.grid, KernelSpec("poisson", t, f.grid.n))
+    kernel = sample_kernel(f.grid, KernelSpec("poisson", t))
     return convolve(kernel, f)
 
 

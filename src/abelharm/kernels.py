@@ -1,8 +1,8 @@
 """Closed-form kernels: Abel, Gaussian, Poisson, and the half-line pair.
 
-All kernels are available in dimensions 1 to 3.  ``x`` arguments are
-scalars or arrays; in dimensions 2 and 3 the last axis holds the
-coordinates of each point.
+``x`` arguments are scalars or arrays of points on the line.  The radial
+Poisson kernel and its normalizing constant also take a dimension n in
+{1, 2, 3}, for the radial checks in R^n.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .sampled import Grid, SampledFunction, _check_scale
 __all__ = [
     "KernelSpec",
     "QuadratureBudgetError",
-    "radius",
     "abel_kernel",
     "gauss_kernel",
     "poisson_constant",
@@ -48,11 +47,10 @@ class QuadratureBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Names one kernel family at one scale in one dimension.
+    """Names one kernel family at one scale on the line.
 
     ``t`` is the scale parameter of the family (the Gaussian family reads
-    it as its width parameter s).  The half-line families exist on the
-    real line only.
+    it as its width parameter s).  ``n`` is the dimension and must be 1.
     """
 
     family: str
@@ -63,33 +61,21 @@ class KernelSpec:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
         _check_scale(self.t)
-        if self.n not in (1, 2, 3):
-            raise ValueError(f"dimension must be 1, 2 or 3, got {self.n}")
-        if self.family in ("abel_plus", "abel_minus") and self.n != 1:
-            raise ValueError("half-line kernels are defined on the real line only")
+        if self.n != 1:
+            raise ValueError(f"dimension must be 1, got {self.n}")
 
 
-def radius(x, n: int = 1) -> np.ndarray:
-    """Euclidean norm |x| for points in R^n (elementwise abs when n = 1)."""
-    a = np.asarray(x, dtype=float)
-    if n == 1:
-        return np.abs(a)
-    if a.shape == () or a.shape[-1] != n:
-        raise ValueError(f"expected last axis of length {n}, got shape {a.shape}")
-    return np.sqrt(np.sum(a * a, axis=-1))
-
-
-def abel_kernel(t: float, x, n: int = 1):
+def abel_kernel(t: float, x):
     """exp(-2 pi t |x|), the exponential damping factor at scale t."""
     _check_scale(t)
-    return np.exp(-2.0 * math.pi * t * radius(x, n))
+    return np.exp(-2.0 * math.pi * t * np.abs(np.asarray(x, dtype=float)))
 
 
-def gauss_kernel(s: float, x, n: int = 1):
-    """exp(-pi s^2 |x|^2), normalized so the s = 1 kernel is transform
+def gauss_kernel(s: float, x):
+    """exp(-pi s^2 x^2), normalized so the s = 1 kernel is transform
     self-dual and s -> 0 recovers the undamped limit."""
     _check_scale(s)
-    r = radius(x, n)
+    r = np.abs(np.asarray(x, dtype=float))
     return np.exp(-math.pi * (s * s) * r * r)
 
 
@@ -103,9 +89,8 @@ def poisson_constant(n: int) -> float:
 def poisson_kernel(n: int, t: float, r):
     """P_t at distance r: c_n * t / (r^2 + t^2)^((n+1)/2).
 
-    The kernel is radial, so ``r`` is a distance (a signed coordinate also
-    works since only r^2 enters).  For coordinate points in R^n go through
-    ``kernel_value``, which takes the norm first.  Scales like
+    The kernel is radial, so ``r`` is a distance; on the line a signed
+    coordinate works too, since only r^2 enters.  Scales like
     P_t(r) = t**-n * P_1(r/t) and integrates to 1 over R^n.
     """
     _check_scale(t)
@@ -127,7 +112,8 @@ def half_kernel(sign: str, t: float, x):
 
     ``sign`` "+" keeps exp(-2 pi t x) on x >= 0 and is zero below;
     "-" is the complement.  The point x = 0 belongs to the "+" side, so
-    the two pieces partition the Abel kernel pointwise.
+    the two pieces partition the Abel kernel pointwise; at NaN both sides
+    are NaN, as the Abel kernel is.
     """
     _check_scale(t)
     if sign not in ("+", "-"):
@@ -135,8 +121,8 @@ def half_kernel(sign: str, t: float, x):
     xv = np.asarray(x, dtype=float)
     full = np.exp(-2.0 * math.pi * t * np.abs(xv))
     if sign == "+":
-        return np.where(xv >= 0, full, 0.0)
-    return np.where(xv < 0, full, 0.0)
+        return np.where(xv < 0, 0.0, full)
+    return np.where(xv >= 0, 0.0, full)
 
 
 def half_kernel_ft(sign: str, t: float, xi):
@@ -154,7 +140,7 @@ def half_kernel_ft(sign: str, t: float, xi):
     return 1.0 / (2.0 * math.pi * (t - 1j * xiv))
 
 
-def abel_from_gaussians(t: float, x, u_max: float = 50.0, M: int = 4096, n: int = 1):
+def abel_from_gaussians(t: float, x, u_max: float = 50.0, M: int = 4096):
     """Abel kernel reconstructed as a weighted average of Gaussians.
 
     Evaluates integral_0^inf exp(-u)/sqrt(pi u) * exp(-pi^2 t^2 |x|^2 / u) du,
@@ -171,7 +157,7 @@ def abel_from_gaussians(t: float, x, u_max: float = 50.0, M: int = 4096, n: int 
     t : float
         Kernel scale, positive.
     x : array_like
-        Evaluation point(s) in R^n.
+        Evaluation point(s) on the line.
     u_max : float
         Truncation point of the average.
     M : int
@@ -180,16 +166,16 @@ def abel_from_gaussians(t: float, x, u_max: float = 50.0, M: int = 4096, n: int 
     Returns
     -------
     ndarray or float
-        Approximation of ``abel_kernel(t, x, n)``.
+        Approximation of ``abel_kernel(t, x)``.
     """
     _check_scale(t)
     if M < 8 or M % 2 != 0:
         raise ValueError(f"M must be even and >= 8, got {M}")
     if not u_max > 1:
         raise ValueError(f"u_max must exceed 1, got {u_max}")
-    if not np.all(np.isfinite(np.asarray(x, dtype=float))):
+    r = np.abs(np.asarray(x, dtype=float))
+    if not np.all(np.isfinite(r)):
         raise ValueError("evaluation points must be finite")
-    r = radius(x, n)
     a = (math.pi * t * r) ** 2  # exponent scale; integrand is exp(-v^2 - a/v^2)
 
     def midpoint(m):
@@ -214,25 +200,19 @@ def abel_from_gaussians(t: float, x, u_max: float = 50.0, M: int = 4096, n: int 
 def kernel_value(spec: KernelSpec, x):
     """Evaluate the kernel named by ``spec`` at point(s) ``x``."""
     if spec.family == "abel":
-        return abel_kernel(spec.t, x, spec.n)
+        return abel_kernel(spec.t, x)
     if spec.family == "gauss":
-        return gauss_kernel(spec.t, x, spec.n)
+        return gauss_kernel(spec.t, x)
     if spec.family == "poisson":
-        return poisson_kernel(spec.n, spec.t, radius(x, spec.n))
+        return poisson_kernel(1, spec.t, x)
     if spec.family == "abel_plus":
         return half_kernel("+", spec.t, x)
     return half_kernel("-", spec.t, x)
 
 
 def sample_kernel(grid: Grid, spec: KernelSpec) -> SampledFunction:
-    """Sample a kernel on a grid with the right decay declaration.
+    """Sample a kernel on a grid.
 
-    Exponentially decaying families are tagged schwartz-like; the Poisson
-    family, with its algebraic tail, is tagged integrable.  Every kernel
-    is real, so its samples are float64.
+    Every kernel is real, so its samples are float64.
     """
-    if grid.n != spec.n:
-        raise ValueError(f"grid dimension {grid.n} != kernel dimension {spec.n}")
-    pts = grid.axis() if grid.n == 1 else grid.lattice()
-    tag = "integrable" if spec.family == "poisson" else "schwartz-like"
-    return SampledFunction(grid, kernel_value(spec, pts), tag)
+    return SampledFunction(grid, kernel_value(spec, grid.axis()))

@@ -1,21 +1,22 @@
-"""Uniform box lattices and equal-weight quadrature.
+"""Uniform lattices on the line and equal-weight quadrature.
 
 Everything downstream works on functions sampled on the half-open lattice
-x_j = -R + j*spacing inside the box [-R, R)^n.  Each lattice point carries
-the same quadrature weight spacing**n, which makes the rule a periodic
-trapezoid rule: spectrally accurate for smooth decaying integrands and
-compatible with transform-based convolution.
+x_j = -R + j*spacing inside the interval [-R, R).  Each lattice point
+carries the same quadrature weight spacing, which makes the rule a
+periodic trapezoid rule: spectrally accurate for smooth decaying
+integrands and compatible with transform-based convolution.  Dimensions 2
+and 3 enter only through radial closed forms and ``radial_integrate``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
-    "DECAY_TAGS",
     "SPHERE_MEASURE",
     "Grid",
     "SampledFunction",
@@ -26,10 +27,6 @@ __all__ = [
     "radial_integrate",
 ]
 
-# Declared decay classes.  Quadrature over the box is only reported as an
-# approximation of an improper integral for the first two.
-DECAY_TAGS = ("schwartz-like", "integrable", "bounded-only")
-
 # Surface measure of the unit sphere S^{n-1}.  The n = 1 entry is the
 # counting measure of {-1, +1}, so that
 # integral over R^n = integral_0^inf SPHERE_MEASURE[n] * r^(n-1) * f(r) dr
@@ -39,22 +36,23 @@ SPHERE_MEASURE = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform lattice on the box [-R, R)^n.
+    """Uniform lattice on the interval [-R, R).
 
     Parameters
     ----------
     n : int
-        Dimension, one of {1, 2, 3}.
+        Dimension; must be 1.  Kept, like ``size``, for callers that
+        spell the dimension out.
     half_width : float
-        Box half-width R.
+        Half-width R.
     points : int
-        Number of lattice points per axis (even, at least 4).
+        Number of lattice points (an integer, even, at least 4).
 
     Notes
     -----
-    Lattice points are x_j = -R + j*spacing for j = 0..points-1 on each
-    axis.  The convention is half-open: +R itself is not a lattice point,
-    so every point carries the equal weight spacing**n.
+    Lattice points are x_j = -R + j*spacing for j = 0..points-1.  The
+    convention is half-open: +R itself is not a lattice point, so every
+    point carries the equal weight spacing.
     """
 
     n: int
@@ -64,8 +62,10 @@ class Grid:
     _dual: "Grid | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n not in (1, 2, 3):
-            raise ValueError(f"dimension must be 1, 2 or 3, got {self.n}")
+        if self.n != 1:
+            raise ValueError(f"dimension must be 1, got {self.n}")
+        # a float count would be truncated or fail deep inside a transform
+        object.__setattr__(self, "points", operator.index(self.points))
         if not 0 < self.half_width < math.inf:
             raise ValueError(f"half_width must be finite and positive, got {self.half_width}")
         if self.points < 4 or self.points % 2 != 0:
@@ -77,8 +77,8 @@ class Grid:
 
     @property
     def size(self) -> int:
-        """Total number of lattice points, points**n."""
-        return self.points ** self.n
+        """Total number of lattice points, equal to ``points``."""
+        return self.points
 
     def axis(self) -> np.ndarray:
         """The 1-D coordinate axis -R + j*spacing, j = 0..points-1."""
@@ -88,24 +88,14 @@ class Grid:
         """``axis()[start:stop]``, bit for bit, without building the axis."""
         return -self.half_width + self.spacing * np.arange(start, stop)
 
-    def lattice(self) -> np.ndarray:
-        """All lattice points, shape (size, n), lexicographic order."""
-        ax = self.axis()
-        if self.n == 1:
-            return ax[:, None]
-        mesh = np.meshgrid(*([ax] * self.n), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
-
     def reciprocal(self) -> "Grid":
-        """Frequency grid dual to this one (1-D only).
+        """Frequency grid dual to this one.
 
         Spacing 1/(2R) and half-width points/(4R).  The dual of the dual is
         the original grid itself: recomputed, its half-width could miss the
         last bit (``make_grid(1, 15.296875, 90)`` would come back with
         15.296875000000002), so a dual remembers the grid it came from.
         """
-        if self.n != 1:
-            raise ValueError("reciprocal grid is defined for n = 1 only")
         if self._dual is not None:
             return self._dual
         dual = Grid(1, self.points / (4.0 * self.half_width), self.points)
@@ -117,33 +107,27 @@ class Grid:
 class SampledFunction:
     """Real or complex samples of a function on a :class:`Grid`.
 
-    ``values`` is stored flat in lexicographic order over the lattice.
+    ``values`` holds one sample per lattice point, in lattice order.
     Real input (float, integer or boolean) is stored as float64 and
     complex input as complex128.  The dtype, not a scan of the samples,
     tells transforms, convolutions and sums that the samples are real, so
     they carry no imaginary half; complex samples whose imaginary part is
     all zero stay complex128.  Spectra are always complex (see
-    :class:`abelharm.spectral.Spectrum`).  ``decay_tag`` declares what is
-    known about decay outside the box and gates whether box quadrature
-    may be reported as an approximation of a convergent improper
-    integral.  Every sample must be finite.
+    :class:`abelharm.spectral.Spectrum`).  Every sample must be finite.
     """
 
     grid: Grid
     values: np.ndarray
-    decay_tag: str = "schwartz-like"
 
     def __post_init__(self):
         vals = np.asarray(self.values)
         vals = vals.astype(complex if np.iscomplexobj(vals) else np.float64, copy=False)
-        if vals.shape != (self.grid.size,):
+        if vals.shape != (self.grid.points,):
             raise ValueError(
-                f"values must have shape ({self.grid.size},), got {vals.shape}"
+                f"values must have shape ({self.grid.points},), got {vals.shape}"
             )
         if not np.all(np.isfinite(vals)):
             raise ValueError("samples must be finite")
-        if self.decay_tag not in DECAY_TAGS:
-            raise ValueError(f"unknown decay_tag {self.decay_tag!r}")
         object.__setattr__(self, "values", vals)
 
 
@@ -154,20 +138,18 @@ def _check_scale(t) -> None:
 
 
 def make_grid(n: int, half_width: float, points: int) -> Grid:
-    """Build a validated uniform grid on [-half_width, half_width)^n."""
-    return Grid(n, float(half_width), int(points))
+    """Build a validated uniform grid on [-half_width, half_width)."""
+    return Grid(n, float(half_width), points)
 
 
-def sample_function(grid, func, decay_tag="schwartz-like"):
+def sample_function(grid, func):
     """Sample a vectorized callable on the lattice.
 
-    For n = 1 the callable receives the coordinate axis as a 1-D array.
-    For n >= 2 it receives the full lattice as an array of shape
-    (size, n), one point per row.  Real values give float64 samples and
-    complex values complex128 samples (see :class:`SampledFunction`).
+    The callable receives the coordinate axis as a 1-D array.  Real values
+    give float64 samples and complex values complex128 samples (see
+    :class:`SampledFunction`).
     """
-    pts = grid.axis() if grid.n == 1 else grid.lattice()
-    return SampledFunction(grid, func(pts), decay_tag)
+    return SampledFunction(grid, func(grid.axis()))
 
 
 # An addend's bucket is its np.frexp exponent, which runs from -1073 (the
@@ -251,27 +233,20 @@ def _exact_sum(x: np.ndarray) -> float:
 
 
 def integrate(f: SampledFunction) -> complex:
-    """Equal-weight quadrature spacing**n * sum of samples.
+    """Equal-weight quadrature spacing * sum of samples.
 
-    Rejects ``bounded-only`` functions: without declared decay the box sum
-    does not approximate a convergent improper integral.  The real and
-    imaginary sums are exact and correctly rounded, so they do not depend
-    on the order of the samples and repeated runs give the same bits.
+    The real and imaginary sums are exact and correctly rounded, so they
+    do not depend on the order of the samples and repeated runs give the
+    same bits.
     Real samples have no imaginary sum; in its place stands the +0.0 that
     a sum of zeros gives.
     """
-    if f.decay_tag == "bounded-only":
-        raise ValueError(
-            "integrate requires decay_tag 'schwartz-like' or 'integrable'; "
-            "use a damped mean for bounded-only samples"
-        )
-    weight = f.grid.spacing ** f.grid.n
     vals = f.values
     im = _exact_sum(vals.imag) if np.iscomplexobj(vals) else 0.0
-    return weight * complex(_exact_sum(vals.real), im)
+    return f.grid.spacing * complex(_exact_sum(vals.real), im)
 
 
-def _product_spectra(f, g, shape, padded, axes):
+def _product_spectra(f, g, padded):
     """Real transforms of the real and imaginary parts of the padded f*g.
 
     (f_re + i f_im)(g_re + i g_im) = f_re g_re - f_im g_im + i (f_re g_im
@@ -281,9 +256,9 @@ def _product_spectra(f, g, shape, padded, axes):
     imaginary part to transform.
     """
     def parts(h):
-        vals = h.values.reshape(shape)
+        vals = h.values
         halves = (vals.real, vals.imag) if np.iscomplexobj(vals) else (vals, None)
-        return [None if x is None or not x.any() else np.fft.rfftn(x, s=padded, axes=axes)
+        return [None if x is None or not x.any() else np.fft.rfft(x, n=padded)
                 for x in halves]
 
     (f_re, f_im), (g_re, g_im) = parts(f), parts(g)
@@ -300,7 +275,7 @@ def convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:
 
     Computed with zero-padded FFTs, which gives the linear (non-circular)
     discrete convolution exactly; the only approximations are the
-    quadrature rule itself and the box truncation.  Each axis is padded
+    quadrature rule itself and the truncation to [-R, R).  The samples are padded
     from N to 3N/2 points.  The linear convolution has indices 0 .. 2N - 2
     and the returned window is N/2 .. 3N/2 - 1; the periodic transform
     wraps the indices 3N/2 .. 2N - 2 onto 0 .. N/2 - 2, all below the
@@ -317,32 +292,23 @@ def convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:
     """
     if f.grid != g.grid:
         raise ValueError("convolve requires both functions on the same grid")
-    for h in (f, g):
-        if h.decay_tag == "bounded-only":
-            raise ValueError("convolve requires integrable or schwartz-like factors")
-    n = f.grid.n
     N = f.grid.points
-    shape = (N,) * n
-    padded = (3 * N // 2,) * n
-    axes = tuple(range(n))
+    padded = 3 * N // 2
     # Linear-convolution index j + k maps to lattice point x_j + x_k + R,
-    # so the centered window starts at offset N/2 on each axis.
-    window = (slice(N // 2, N // 2 + N),) * n
+    # so the centered window starts at offset N/2.
+    window = slice(N // 2, N // 2 + N)
     if np.iscomplexobj(f.values) or np.iscomplexobj(g.values):
-        vals = np.zeros(shape, dtype=complex)
+        vals = np.zeros(N, dtype=complex)
         parts = (vals.real, vals.imag)
     else:
         # two real factors leave the imaginary part without a spectrum
-        vals = np.zeros(shape)
+        vals = np.zeros(N)
         parts = (vals,)
-    for part, spectrum in zip(parts, _product_spectra(f, g, shape, padded, axes)):
+    for part, spectrum in zip(parts, _product_spectra(f, g, padded)):
         if spectrum is not None:
-            part[...] = np.fft.irfftn(spectrum, s=padded, axes=axes)[window]
-    vals *= f.grid.spacing ** n
-    tag = "schwartz-like"
-    if "integrable" in (f.decay_tag, g.decay_tag):
-        tag = "integrable"
-    return SampledFunction(f.grid, vals.ravel(), tag)
+            part[...] = np.fft.irfft(spectrum, n=padded)[window]
+    vals *= f.grid.spacing
+    return SampledFunction(f.grid, vals)
 
 
 # Double-exponential rules (Takahasi & Mori, Publ. RIMS 9, 1974) on the 769

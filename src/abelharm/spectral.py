@@ -110,8 +110,6 @@ class Spectrum:
     support: SupportSpec
 
     def __post_init__(self):
-        if self.grid.n != 1:
-            raise ValueError("spectra live on 1-D frequency grids")
         vals = np.asarray(self.values, dtype=complex)
         if vals.shape != (self.grid.points,):
             raise ValueError(
@@ -180,10 +178,6 @@ def forward_ft(f: SampledFunction) -> Spectrum:
     lattice frequency too, the value at -xi is the conjugate of the value
     at xi, bit for bit.
     """
-    if f.grid.n != 1:
-        raise ValueError("forward_ft is defined for 1-D grids")
-    if f.decay_tag == "bounded-only":
-        raise ValueError("forward_ft requires integrable or schwartz-like samples")
     vals = _centred_dft(f.values, f.grid.spacing, inverse=False)
     return Spectrum(f.grid.reciprocal(), vals, SupportSpec.full_line())
 
@@ -195,7 +189,7 @@ def inverse_ft(F: Spectrum) -> SampledFunction:
     smoothness: the two lattice transforms are inverse linear maps.
     """
     vals = _centred_dft(F.values, F.grid.spacing, inverse=True)
-    return SampledFunction(F.grid.reciprocal(), vals, "integrable")
+    return SampledFunction(F.grid.reciprocal(), vals)
 
 
 def sample_spectrum(grid: Grid, func, support: SupportSpec) -> Spectrum:
@@ -208,8 +202,6 @@ def sample_spectrum(grid: Grid, func, support: SupportSpec) -> Spectrum:
     value; keeping the full one-sided value would cost half a lattice
     weight of error in every quantity computed from the spectrum.
     """
-    if grid.n != 1:
-        raise ValueError("spectra live on 1-D frequency grids")
     start, stop = _support_range(grid, support)
     vals = np.zeros(grid.points, dtype=complex)
     vals[start:stop] = np.asarray(func(grid._axis_range(start, stop)), dtype=complex)

@@ -3,8 +3,8 @@
 A damped mean integral h(x) K_t(x) dx exists for any bounded h because the
 kernel supplies the integrability; sending the scale t to zero recovers
 the integral of h whenever that converges.  This module computes the means
-on a lattice (or by radial quadrature in dimensions 2 and 3) and estimates
-the limit along a decreasing schedule of scales.
+on a lattice on the line (or by radial quadrature in dimensions 2 and 3)
+and estimates the limit along a decreasing schedule of scales.
 """
 
 from __future__ import annotations
@@ -81,32 +81,27 @@ def default_schedule() -> Schedule:
 
 
 def _weighted_mean(h: SampledFunction, weights: np.ndarray) -> complex:
-    # Any decay tag is acceptable here: the kernel factor supplies the
+    # Any bounded h is acceptable here: the kernel factor supplies the
     # integrability that plain quadrature would have to assume.  The sums
     # are exact and correctly rounded, so independent of summation order.
     # The weights are finite and nonnegative, so a zero sample times its
     # weight is a zero of the same sign: an identically zero part is
     # summed as it stands, without the product.  Real samples have no
     # imaginary part; the sum of its zeros would be +0.0.
-    scale = h.grid.spacing ** h.grid.n
     vals = h.values
     re = _exact_sum(vals.real * weights)
     im = 0.0
     if np.iscomplexobj(vals):
         imag = vals.imag
         im = _exact_sum(imag * weights if imag.any() else imag)
-    return scale * complex(re, im)
+    return h.grid.spacing * complex(re, im)
 
 
 @functools.lru_cache(maxsize=4)
 def _radii(grid: Grid) -> np.ndarray:
     # every mean over one grid shares these radii; read-only because the
     # cache hands the same array to every caller
-    if grid.n == 1:
-        r = np.abs(grid.axis())
-    else:
-        pts = grid.lattice()
-        r = np.sqrt(np.sum(pts * pts, axis=-1))
+    r = np.abs(grid.axis())
     r.flags.writeable = False
     return r
 
@@ -158,7 +153,8 @@ def summability_verdict(h: SampledFunction, kind: str, schedule: Schedule) -> Su
     Parameters
     ----------
     h : SampledFunction
-        Samples to be averaged; any decay tag.
+        Samples to be averaged; bounded samples suffice, since the kernel
+        supplies the integrability.
     kind : {"abel", "gauss"}
         Damping family.
     schedule : Schedule

@@ -159,12 +159,12 @@ def test_damped_inverse_matches_poisson_convolution():
 def test_spectral_split_partitions_identity():
     grid = make_grid(1, 40.0, 2 ** 14)
     cases = [
-        (lambda x: np.exp(-math.pi * x * x), "schwartz-like"),
-        (lambda x: poisson_kernel(1, 1.0, x), "integrable"),
-        (lambda x: np.exp(-2.0 * math.pi * np.abs(x)), "schwartz-like"),
+        lambda x: np.exp(-math.pi * x * x),
+        lambda x: poisson_kernel(1, 1.0, x),
+        lambda x: np.exp(-2.0 * math.pi * np.abs(x)),
     ]
-    for func, tag in cases:
-        f = sample_function(grid, func, decay_tag=tag)
+    for func in cases:
+        f = sample_function(grid, func)
         plus, minus = hardy_split(f)
         recon = inverse_ft(plus).values + inverse_ft(minus).values
         assert np.max(np.abs(recon - f.values)) <= 1e-8

@@ -13,11 +13,9 @@ from abelharm import (
     half_kernel,
     half_kernel_ft,
     kernel_value,
-    make_grid,
     poisson_constant,
     poisson_kernel,
     radial_integrate,
-    sample_kernel,
 )
 
 
@@ -26,10 +24,6 @@ def test_kernel_spec_validation():
         KernelSpec("triangle", 1.0)
     with pytest.raises(ValueError):
         KernelSpec("abel", 0.0)
-    with pytest.raises(ValueError):
-        KernelSpec("abel_plus", 1.0, n=2)
-    with pytest.raises(ValueError):
-        KernelSpec("gauss", 1.0, n=5)
 
 
 @pytest.mark.parametrize("t", [math.inf, math.nan])
@@ -51,8 +45,6 @@ def test_kernels_reject_a_non_finite_scale(t):
 def test_abel_kernel_values():
     assert abel_kernel(1.0, 0.0) == 1.0
     assert abel_kernel(0.5, 1.0) == pytest.approx(math.exp(-math.pi))
-    pts = np.array([[3.0, 4.0]])
-    assert abel_kernel(1.0, pts, n=2)[0] == pytest.approx(math.exp(-10.0 * math.pi))
 
 
 def test_gauss_kernel_self_scale():
@@ -74,9 +66,10 @@ def test_poisson_kernel_unit_mass_quick():
 
 
 def test_half_kernels_partition_pointwise():
-    x = np.linspace(-3.0, 3.0, 301)
+    x = np.append(np.linspace(-3.0, 3.0, 301), [-math.inf, math.inf, math.nan])
     total = half_kernel("+", 1.0, x) + half_kernel("-", 1.0, x)
-    assert np.allclose(total, abel_kernel(1.0, x), atol=0.0)
+    # bit for bit, and NaN where the Abel kernel is NaN
+    np.testing.assert_array_equal(total, abel_kernel(1.0, x))
     # the origin belongs to the "+" side only
     assert half_kernel("+", 1.0, 0.0) == 1.0
     assert half_kernel("-", 1.0, 0.0) == 0.0
@@ -122,25 +115,9 @@ def test_gaussian_average_budget_guard():
 def test_gaussian_average_rejects_non_finite_points(bad):
     with pytest.raises(ValueError, match="finite"):
         abel_from_gaussians(1.0, np.array([0.5, bad]))
-    with pytest.raises(ValueError, match="finite"):
-        abel_from_gaussians(1.0, np.array([[0.5, bad]]), n=2)
 
 
 def test_kernel_value_dispatch():
     x = np.array([0.0, 1.0, -1.0])
     spec = KernelSpec("poisson", 1.0, 1)
     assert np.allclose(kernel_value(spec, x), poisson_kernel(1, 1.0, x))
-    spec2 = KernelSpec("poisson", 1.0, 2)
-    pts = np.array([[0.0, 0.0], [3.0, 4.0]])
-    want = poisson_kernel(2, 1.0, np.array([0.0, 5.0]))
-    assert np.allclose(kernel_value(spec2, pts), want)
-
-
-def test_sample_kernel_tags_and_tails():
-    g = make_grid(1, 20.0, 256)
-    slow = sample_kernel(g, KernelSpec("poisson", 1.0, 1))
-    assert slow.decay_tag == "integrable"
-    fast = sample_kernel(g, KernelSpec("abel", 1.0, 1))
-    assert fast.decay_tag == "schwartz-like"
-    with pytest.raises(ValueError):
-        sample_kernel(g, KernelSpec("poisson", 1.0, 2))

@@ -189,17 +189,6 @@ def test_inverse_of_two_sided_exponential_is_poisson():
     assert err < 1e-6
 
 
-def test_forward_ft_rejects_bad_input():
-    g1 = make_grid(1, 4.0, 64)
-    f = sample_function(g1, np.cos, decay_tag="bounded-only")
-    with pytest.raises(ValueError):
-        forward_ft(f)
-    g2 = make_grid(2, 4.0, 16)
-    f2 = sample_function(g2, lambda p: np.exp(-np.sum(p * p, axis=-1)))
-    with pytest.raises(ValueError):
-        forward_ft(f2)
-
-
 def test_project_spectrum_splits_exactly():
     g = make_grid(1, 2.0, 128)
     F = sample_spectrum(g, lambda xi: 1.0 / (1.0 + xi * xi), SupportSpec.full_line())

@@ -145,12 +145,11 @@ def test_radial_means_check_the_range_and_the_integrand():
 
 
 def test_radii_are_built_once_per_grid_and_read_only():
-    g = make_grid(2, 2.0, 8)
+    g = make_grid(1, 2.0, 8)
     r = _radii(g)
-    assert _radii(make_grid(2, 2.0, 8)) is r
+    assert _radii(make_grid(1, 2.0, 8)) is r
     assert not r.flags.writeable
-    np.testing.assert_array_equal(r, np.sqrt(np.sum(g.lattice() ** 2, axis=-1)))
-    np.testing.assert_array_equal(_radii(make_grid(1, 2.0, 8)), np.abs(g.axis()))
+    np.testing.assert_array_equal(r, np.abs(g.axis()))
 
 
 @given(
