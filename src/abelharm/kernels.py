@@ -8,11 +8,12 @@ Poisson kernel and its normalizing constant also take a dimension n in
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sampled import Grid, SampledFunction, _check_scale
+from .sampled import Grid, SampledFunction, _adopt, _check_scale
 
 __all__ = [
     "KernelSpec",
@@ -65,18 +66,45 @@ class KernelSpec:
             raise ValueError(f"dimension must be 1, got {self.n}")
 
 
+def _abel_exponent(t: float, r):
+    """-2 pi t r at radii r >= 0, never NaN at an accepted scale.
+
+    Where 2 pi t overflows, t * r is formed first, so that r = 0 keeps its
+    exponent 0 instead of the NaN of inf * 0.  An exponent that overflows
+    is -inf, a weight that underflows to 0, and raises no warning.
+    """
+    with np.errstate(over="ignore"):
+        c = -2.0 * math.pi * t
+        if math.isinf(c):
+            return -2.0 * math.pi * (t * r)
+        return c * r
+
+
+def _gauss_exponent(s: float, r):
+    """-pi s^2 r^2 at radii r >= 0, never NaN at an accepted scale.
+
+    Where pi s^2 overflows, s * r is formed first, as in
+    :func:`_abel_exponent`.
+    """
+    with np.errstate(over="ignore"):
+        c = -math.pi * (s * s)
+        if math.isinf(c):
+            sr = s * r
+            return -math.pi * (sr * sr)
+        return c * r * r
+
+
 def abel_kernel(t: float, x):
     """exp(-2 pi t |x|), the exponential damping factor at scale t."""
     _check_scale(t)
-    return np.exp(-2.0 * math.pi * t * np.abs(np.asarray(x, dtype=float)))
+    return np.exp(_abel_exponent(t, np.abs(np.asarray(x, dtype=float))))
 
 
 def gauss_kernel(s: float, x):
     """exp(-pi s^2 x^2), normalized so the s = 1 kernel is transform
     self-dual and s -> 0 recovers the undamped limit."""
     _check_scale(s)
-    r = np.abs(np.asarray(x, dtype=float))
-    return np.exp(-math.pi * (s * s) * r * r)
+    return np.exp(_gauss_exponent(s, np.abs(np.asarray(x, dtype=float))))
 
 
 def poisson_constant(n: int) -> float:
@@ -92,10 +120,21 @@ def poisson_kernel(n: int, t: float, r):
     The kernel is radial, so ``r`` is a distance; on the line a signed
     coordinate works too, since only r^2 enters.  Scales like
     P_t(r) = t**-n * P_1(r/t) and integrates to 1 over R^n.
+
+    The peak's denominator t^(n+1) must be a normal float: a scale that
+    underflows it (t = 1e-200 in dimension 1, whose finite peak c_1 / t
+    would come out inf) or overflows it raises ValueError.
     """
     _check_scale(t)
+    c = poisson_constant(n)
+    power = (n + 1) / 2.0
+    with np.errstate(over="ignore"):
+        peak_denominator = np.float64(t * t) ** power
+    if not sys.float_info.min <= peak_denominator < math.inf:
+        raise ValueError(f"scale {t} is out of range for the Poisson kernel in "
+                         f"dimension {n}: t**{n + 1} is not a normal float")
     rv = np.asarray(r, dtype=float)
-    return poisson_constant(n) * t / (rv * rv + t * t) ** ((n + 1) / 2.0)
+    return c * t / (rv * rv + t * t) ** power
 
 
 def abel_ft(n: int, t: float, xi):
@@ -119,7 +158,7 @@ def half_kernel(sign: str, t: float, x):
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     xv = np.asarray(x, dtype=float)
-    full = np.exp(-2.0 * math.pi * t * np.abs(xv))
+    full = np.exp(_abel_exponent(t, np.abs(xv)))
     if sign == "+":
         return np.where(xv < 0, 0.0, full)
     return np.where(xv >= 0, 0.0, full)
@@ -215,4 +254,4 @@ def sample_kernel(grid: Grid, spec: KernelSpec) -> SampledFunction:
 
     Every kernel is real, so its samples are float64.
     """
-    return SampledFunction(grid, kernel_value(spec, grid.axis()))
+    return _adopt(SampledFunction, kernel_value(spec, grid.axis()), grid=grid)

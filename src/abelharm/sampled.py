@@ -114,13 +114,18 @@ class SampledFunction:
     they carry no imaginary half; complex samples whose imaginary part is
     all zero stay complex128.  Spectra are always complex (see
     :class:`abelharm.spectral.Spectrum`).  Every sample must be finite.
+
+    The samples are a private, read-only copy of the caller's array, so
+    a later change to that array cannot bypass the checks.
     """
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values)
+        self._store(np.array(self.values))
+
+    def _store(self, vals: np.ndarray) -> None:
         vals = vals.astype(complex if np.iscomplexobj(vals) else np.float64, copy=False)
         if vals.shape != (self.grid.points,):
             raise ValueError(
@@ -128,7 +133,22 @@ class SampledFunction:
             )
         if not np.all(np.isfinite(vals)):
             raise ValueError("samples must be finite")
+        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
+
+
+def _adopt(cls, values: np.ndarray, **fields):
+    """``cls(values=values, **fields)`` without the copy of ``values``.
+
+    For arrays that abelharm has just built and that nothing else holds:
+    the checks run as in the constructor, and the array itself is made
+    read-only and stored.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    obj._store(values)
+    return obj
 
 
 def _check_scale(t) -> None:
@@ -308,7 +328,7 @@ def convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:
         if spectrum is not None:
             part[...] = np.fft.irfft(spectrum, n=padded)[window]
     vals *= f.grid.spacing
-    return SampledFunction(f.grid, vals)
+    return _adopt(SampledFunction, vals, grid=f.grid)
 
 
 # Double-exponential rules (Takahasi & Mori, Publ. RIMS 9, 1974) on the 769

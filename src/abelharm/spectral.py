@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampled import Grid, SampledFunction, _check_scale
+from .sampled import Grid, SampledFunction, _adopt, _check_scale
 
 __all__ = [
     "SupportSpec",
@@ -102,7 +102,8 @@ class Spectrum:
     at lattice points outside the declared support.  They are complex128
     even where they are real: the off-lattice sums multiply them by
     complex phases, and a real spectrum would be converted to complex on
-    every such sum.
+    every such sum.  As in :class:`abelharm.sampled.SampledFunction`, the
+    values are a private, read-only copy of the caller's array.
     """
 
     grid: Grid
@@ -110,7 +111,9 @@ class Spectrum:
     support: SupportSpec
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
+        self._store(np.array(self.values, dtype=complex))
+
+    def _store(self, vals: np.ndarray) -> None:
         if vals.shape != (self.grid.points,):
             raise ValueError(
                 f"values must have shape ({self.grid.points},), got {vals.shape}"
@@ -120,6 +123,7 @@ class Spectrum:
         start, stop = _support_range(self.grid, self.support)
         if vals[:start].any() or vals[stop:].any():
             raise ValueError("spectrum has nonzero values outside its declared support")
+        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
 
@@ -179,7 +183,7 @@ def forward_ft(f: SampledFunction) -> Spectrum:
     at xi, bit for bit.
     """
     vals = _centred_dft(f.values, f.grid.spacing, inverse=False)
-    return Spectrum(f.grid.reciprocal(), vals, SupportSpec.full_line())
+    return _adopt(Spectrum, vals, grid=f.grid.reciprocal(), support=SupportSpec.full_line())
 
 
 def inverse_ft(F: Spectrum) -> SampledFunction:
@@ -189,7 +193,7 @@ def inverse_ft(F: Spectrum) -> SampledFunction:
     smoothness: the two lattice transforms are inverse linear maps.
     """
     vals = _centred_dft(F.values, F.grid.spacing, inverse=True)
-    return SampledFunction(F.grid.reciprocal(), vals)
+    return _adopt(SampledFunction, vals, grid=F.grid.reciprocal())
 
 
 def sample_spectrum(grid: Grid, func, support: SupportSpec) -> Spectrum:
@@ -208,7 +212,7 @@ def sample_spectrum(grid: Grid, func, support: SupportSpec) -> Spectrum:
     for end in {support.a, support.b} - {-math.inf, math.inf}:
         # the lattice points equal to end
         vals[_count_below(grid, end) : _count_below(grid, end, inclusive=True)] *= 0.5
-    return Spectrum(grid, vals, support)
+    return _adopt(Spectrum, vals, grid=grid, support=support)
 
 
 def project_spectrum(F: Spectrum, support: SupportSpec) -> Spectrum:
@@ -221,7 +225,7 @@ def project_spectrum(F: Spectrum, support: SupportSpec) -> Spectrum:
     start, stop = _support_range(F.grid, support, partition=True)
     vals = np.zeros(F.grid.points, dtype=complex)
     vals[start:stop] = F.values[start:stop]
-    return Spectrum(F.grid, vals, support)
+    return _adopt(Spectrum, vals, grid=F.grid, support=support)
 
 
 def _block_size(n: int) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import abel_kernel
+from .kernels import _abel_exponent, _gauss_exponent, abel_kernel
 from .sampled import Grid, SampledFunction, _check_scale, _exact_sum, radial_integrate
 
 __all__ = [
@@ -80,20 +80,59 @@ def default_schedule() -> Schedule:
     return Schedule(tuple(0.1 * 0.5 ** k for k in range(12)))
 
 
-def _weighted_mean(h: SampledFunction, weights: np.ndarray) -> complex:
-    # Any bounded h is acceptable here: the kernel factor supplies the
-    # integrability that plain quadrature would have to assume.  The sums
-    # are exact and correctly rounded, so independent of summation order.
-    # The weights are finite and nonnegative, so a zero sample times its
-    # weight is a zero of the same sign: an identically zero part is
-    # summed as it stands, without the product.  Real samples have no
-    # imaginary part; the sum of its zeros would be +0.0.
+def _nonzero_span(vals: np.ndarray) -> tuple[int, int]:
+    """The index range [lo, hi) outside which every sample is zero.
+
+    O(1) when both end samples are nonzero; otherwise one pass for the
+    nonzero mask.  All-zero samples give the empty range (0, 0).
+    """
+    if vals[0] != 0 and vals[-1] != 0:
+        return 0, vals.size
+    nonzero = vals != 0
+    lo = int(nonzero.argmax())
+    if not nonzero[lo]:
+        return 0, 0
+    return lo, vals.size - int(nonzero[::-1].argmax())
+
+
+def _span_sum(part: np.ndarray, products: np.ndarray, lo: int, hi: int) -> float:
+    """Exact sum over the lattice of part times finite nonnegative weights.
+
+    ``products`` holds the products on [lo, hi), outside which ``part`` is
+    zero.  A zero times such a weight is a zero of the same sign, so the
+    products outside are the samples themselves, and zeros change an
+    exact sum only when it is zero: then it is summed over the whole
+    lattice, where the sign of a sum of zeros is decided as the
+    full-length sum would decide it.
+    """
+    total = _exact_sum(products)
+    if total:
+        return total
+    return _exact_sum(np.concatenate((part[:lo], products, part[hi:])))
+
+
+def _weighted_mean(h: SampledFunction, exponent) -> complex:
+    """spacing * sum_j h_j exp(exponent(|x_j|)), exact and correctly rounded.
+
+    Any bounded h is acceptable here: the kernel factor supplies the
+    integrability that plain quadrature would have to assume.
+    ``exponent`` maps radii to a fresh array of exponents, each at most 0
+    and none NaN.  The sums are exact, so independent of summation order,
+    and zero addends do not change them: only the span where the samples
+    are nonzero is weighted, multiplied and summed, and the result has the
+    bits of the full-length sum.  Real samples have no imaginary part;
+    the sum of its zeros would be +0.0.
+    """
     vals = h.values
-    re = _exact_sum(vals.real * weights)
+    lo, hi = _nonzero_span(vals)
+    weights = exponent(_radii(h.grid)[lo:hi])
+    np.exp(weights, out=weights)
     im = 0.0
     if np.iscomplexobj(vals):
-        imag = vals.imag
-        im = _exact_sum(imag * weights if imag.any() else imag)
+        im = _span_sum(vals.imag, vals.imag[lo:hi] * weights, lo, hi)
+    # the last use of the weights: the real products overwrite them
+    weights *= vals.real[lo:hi]
+    re = _span_sum(vals.real, weights, lo, hi)
     return h.grid.spacing * complex(re, im)
 
 
@@ -109,14 +148,13 @@ def _radii(grid: Grid) -> np.ndarray:
 def abel_mean(h: SampledFunction, t: float) -> complex:
     """Exponentially damped mean of lattice samples at scale t."""
     _check_scale(t)
-    return _weighted_mean(h, np.exp(-2.0 * math.pi * t * _radii(h.grid)))
+    return _weighted_mean(h, lambda r: _abel_exponent(t, r))
 
 
 def gauss_mean(h: SampledFunction, s: float) -> complex:
     """Gaussian damped mean of lattice samples at scale s."""
     _check_scale(s)
-    r = _radii(h.grid)
-    return _weighted_mean(h, np.exp(-math.pi * (s * s) * r * r))
+    return _weighted_mean(h, lambda r: _gauss_exponent(s, r))
 
 
 def abel_mean_radial(profile, n: int, t: float, upper: float = math.inf) -> float:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from abelharm import (
     kernel_value,
     poisson_constant,
     poisson_kernel,
+    make_grid,
     radial_integrate,
+    sample_kernel,
 )
 
 
@@ -40,6 +43,50 @@ def test_kernels_reject_a_non_finite_scale(t):
     ):
         with pytest.raises(ValueError, match="finite and positive"):
             make()
+
+
+def test_kernels_at_extreme_scales_are_finite():
+    # where 2 pi t or pi s^2 overflows, the weight at 0 is still 1, not the
+    # NaN of inf * 0, and an exponent that overflows is a weight of 0
+    # without a warning
+    assert abel_kernel(1e308, 0.0) == 1.0
+    assert abel_kernel(1e308, 1.0) == 0.0
+    assert abel_kernel(1e306, 1e5) == 0.0
+    assert half_kernel("+", 1e308, 0.0) == 1.0
+    assert half_kernel("-", 1e308, -1.0) == 0.0
+    assert gauss_kernel(1e170, 0.0) == 1.0
+    assert gauss_kernel(1e170, 1.0) == 0.0
+    assert gauss_kernel(1e150, 1e10) == 0.0
+    g = make_grid(1, 4.0, 64)
+    for family in ("abel", "abel_plus", "gauss"):
+        vals = sample_kernel(g, KernelSpec(family, 1e308)).values
+        assert vals[32] == 1.0 and np.count_nonzero(vals) == 1
+
+
+def test_kernels_keep_their_closed_form_bits_at_ordinary_scales():
+    x = np.linspace(-50.0, 50.0, 1001)
+    r = np.abs(x)
+    for t in (1e-5, 0.3, 1.0, 7.5, 1e3):
+        assert abel_kernel(t, x).tobytes() == np.exp(-2.0 * math.pi * t * r).tobytes()
+        assert gauss_kernel(t, x).tobytes() == np.exp(-math.pi * (t * t) * r * r).tobytes()
+        for n in (1, 2, 3):
+            want = poisson_constant(n) * t / (x * x + t * t) ** ((n + 1) / 2.0)
+            assert poisson_kernel(n, t, x).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, t", [(1, 1e-200), (1, 1e200), (2, 1e-110), (3, 1e-100), (3, 1e100)])
+def test_poisson_kernel_rejects_scales_whose_peak_is_out_of_range(n, t):
+    # the peak's denominator t^(n+1) underflows or overflows; t = 1e-200
+    # on the line used to give inf for the finite peak c_1 / t
+    for make in (lambda: poisson_kernel(n, t, 0.0), lambda: abel_ft(n, t, 1.0)):
+        with pytest.raises(ValueError, match=re.escape(f"scale {t} is out of range")):
+            make()
+    if n == 1:
+        with pytest.raises(ValueError, match=re.escape(f"scale {t} is out of range")):
+            sample_kernel(make_grid(1, 4.0, 64), KernelSpec("poisson", t))
+    # the edges of the range in dimension 1 keep a finite, exact peak
+    assert poisson_kernel(1, 1e-150, 0.0) == poisson_constant(1) * 1e-150 / (1e-150 * 1e-150)
+    assert poisson_kernel(1, 1e150, 0.0) == poisson_constant(1) * 1e150 / (1e150 * 1e150)
 
 
 def test_abel_kernel_values():

@@ -214,6 +214,22 @@ def test_samples_are_float64_when_real_and_complex128_when_complex(values, dtype
     assert np.array_equal(f.values, np.asarray(values))
 
 
+def test_stored_samples_are_a_private_read_only_copy():
+    # a caller that changes its array afterwards, whether it passed the
+    # array or returned it from the sampled callable, cannot put a NaN past
+    # the finiteness check
+    g = make_grid(1, 1.0, 8)
+    for dtype in (np.float64, np.complex128):
+        values = np.ones(8, dtype=dtype)
+        kept = [SampledFunction(g, values), sample_function(g, lambda x: values)]
+        values[3] = math.nan
+        for f in kept:
+            assert np.all(np.isfinite(f.values))
+            with pytest.raises(ValueError, match="read-only"):
+                f.values[0] = 2.0
+            assert integrate(f) == 8 * g.spacing
+
+
 def test_real_samples_stay_float64_and_transforms_are_complex():
     g = make_grid(1, 4.0, 64)
     gauss = sample_function(g, lambda x: np.exp(-x * x))

@@ -81,6 +81,21 @@ def test_spectrum_rejects_values_outside_support():
         Spectrum(g, vals, SupportSpec.nonneg())
 
 
+def test_spectrum_values_are_a_private_read_only_copy():
+    g = make_grid(1, 2.0, 64)
+    vals = np.ones(64, dtype=complex)
+    F = Spectrum(g, vals, SupportSpec.full_line())
+    vals[3] = math.nan
+    assert np.all(np.isfinite(F.values))
+    # what abelharm builds itself is stored as built, and read-only too
+    f = sample_function(g, lambda x: np.exp(-x * x))
+    built = (forward_ft(f), inverse_ft(F), convolve(f, f), project_spectrum(F, SupportSpec.nonneg()),
+             sample_spectrum(g, lambda xi: np.exp(-xi * xi), SupportSpec.nonneg()))
+    for out in (F, f) + built:
+        with pytest.raises(ValueError, match="read-only"):
+            out.values[0] = 0.0
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.inf, 0.0)])
 def test_spectrum_rejects_non_finite_values_inside_support(bad):
     g = make_grid(1, 2.0, 64)

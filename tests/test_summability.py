@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from abelharm import (
     KernelSpec,
@@ -169,3 +169,108 @@ def test_real_samples_give_the_means_of_complex_ones(half_points, half_width, t,
     for mean in (abel_mean, gauss_mean):
         a, b = mean(real, t), mean(cplx, t)
         assert np.array([a]).tobytes() == np.array([b]).tobytes()
+
+
+def _full_length_mean(h, weights):
+    # the means as they were first written: every lattice point weighted,
+    # multiplied and summed, zeros included
+    vals = h.values
+    im = math.fsum((vals.imag * weights).tolist()) if np.iscomplexobj(vals) else 0.0
+    return h.grid.spacing * complex(math.fsum((vals.real * weights).tolist()), im)
+
+
+@given(
+    half_points=st.integers(2, 200),
+    half_width=st.floats(0.5, 50.0),
+    t=st.floats(1e-5, 1e3),
+    seed=st.integers(0, 2 ** 32 - 1),
+    head=st.integers(0, 400),
+    tail=st.integers(0, 400),
+    imag_tails=st.sampled_from([None, "same", "none", "other"]),
+    zero=st.sampled_from([0.0, -0.0, "mixed"]),
+    magnitude=st.sampled_from([0, -300, -320]),
+)
+@example(half_points=8, half_width=1.0, t=1.0, seed=0, head=16, tail=0,
+         imag_tails=None, zero=-0.0, magnitude=0)
+@example(half_points=8, half_width=1.0, t=1.0, seed=0, head=16, tail=0,
+         imag_tails="same", zero=-0.0, magnitude=0)
+@example(half_points=8, half_width=1.0, t=1.0, seed=0, head=3, tail=5,
+         imag_tails="none", zero=-0.0, magnitude=0)
+@example(half_points=200, half_width=50.0, t=1e3, seed=1, head=201, tail=0,
+         imag_tails=None, zero=-0.0, magnitude=-320)
+@example(half_points=200, half_width=50.0, t=1e3, seed=1, head=0, tail=200,
+         imag_tails="other", zero="mixed", magnitude=-320)
+def test_means_equal_the_full_length_sums_bit_for_bit(half_points, half_width, t, seed, head,
+                                                      tail, imag_tails, zero, magnitude):
+    # The means weight and sum only the span where the samples are
+    # nonzero.  Zero tails of any length (none, or every sample), zeros of
+    # either sign, complex samples whose tails lie in one part only, and
+    # products that underflow to all zeros keep the full-length bits.
+    rng = np.random.default_rng(seed)
+    g = make_grid(1, half_width, 2 * half_points)
+    n = g.size
+
+    def samples(head, tail):
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7, n) * 10.0 ** magnitude
+        zeros = np.zeros(n, dtype=bool)
+        zeros[:head] = True
+        zeros[n - min(tail, n):] = True
+        zeros |= rng.random(n) < 0.1
+        signs = rng.standard_normal(n) if zero == "mixed" else np.full(n, zero)
+        return np.where(zeros, np.copysign(0.0, signs), x)
+
+    vals = samples(head, tail)
+    if imag_tails is not None:
+        # "same": the imaginary part has the real part's tails; "none" and
+        # "other": the span of the samples is the union of the two parts'
+        other = {"same": (head, tail), "none": (0, 0), "other": (tail, head)}[imag_tails]
+        vals = vals + 1j * samples(*other)
+        if imag_tails == "same":
+            vals.imag[vals.real == 0] = vals.real[vals.real == 0]
+    h = SampledFunction(g, vals)
+    r = np.abs(g.axis())
+    for mean, weights in ((abel_mean, np.exp(-2.0 * math.pi * t * r)),
+                          (gauss_mean, np.exp(-math.pi * (t * t) * r * r))):
+        got, want = mean(h, t), _full_length_mean(h, weights)
+        assert np.array([got]).tobytes() == np.array([want]).tobytes()
+
+
+_fsum = math.fsum
+
+
+def _fsum_keeping_negative_zero(xs):
+    # math.fsum gives +0.0 for any sum of zeros; IEEE addition gives -0.0
+    # when every addend is -0.0
+    xs = list(xs)
+    if xs and all(x == 0.0 and math.copysign(1.0, x) < 0.0 for x in xs):
+        return -0.0
+    return _fsum(xs)
+
+
+@pytest.mark.parametrize("fsum", [_fsum, _fsum_keeping_negative_zero])
+def test_means_of_products_that_underflow_keep_the_sign_of_the_full_sum(monkeypatch, fsum):
+    # Every product is a zero of its sample's sign, and the span's products
+    # alone do not see the zeros outside the span.  The sign of a sum of
+    # zeros is math.fsum's to decide; under either rule the means give
+    # what the full-length sums give.
+    monkeypatch.setattr(math, "fsum", fsum)
+    g = make_grid(1, 50.0, 400)
+    r = np.abs(g.axis())
+    for fill in (-0.0, 0.0):
+        vals = np.full(g.size, fill)
+        vals[-10:] = -1e-300
+        h = SampledFunction(g, vals)
+        for mean, weights in ((abel_mean, np.exp(-2.0 * math.pi * 1e3 * r)),
+                              (gauss_mean, np.exp(-math.pi * (1e3 * 1e3) * r * r))):
+            got, want = mean(h, 1e3), _full_length_mean(h, weights)
+            assert got == 0.0
+            assert np.array([got]).tobytes() == np.array([want]).tobytes()
+
+
+@pytest.mark.parametrize("mean, scale", [(abel_mean, 1e308), (gauss_mean, 1e200)])
+def test_means_at_extreme_scales_are_the_sample_at_the_origin(mean, scale):
+    # 2 pi t or pi s^2 overflows; the weight is still 1 at the origin and
+    # 0 elsewhere, not the NaN of inf * 0
+    g = make_grid(1, 4.0, 64)
+    h = sample_function(g, lambda x: 1.0 + x * x + 2j * np.cos(x))
+    assert mean(h, scale) == g.spacing * (1.0 + 2j)
