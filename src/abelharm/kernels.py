@@ -169,14 +169,23 @@ def half_kernel_ft(sign: str, t: float, xi):
 
     The "+" side transforms to 1/(2 pi (t + i xi)) and the "-" side to its
     complex conjugate; the two sum to the Poisson kernel on the line.
+
+    A scale whose peak 1/(2 pi t) overflows (t below about 9e-310)
+    raises ValueError.  Where 2 pi t overflows, t +- i xi is scaled by
+    1/4 before the division, so that the value stays finite.
     """
     _check_scale(t)
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+    c = 2.0 * math.pi * t
+    if not 1.0 / c < math.inf:
+        raise ValueError(f"scale {t} is out of range for the half-line kernel "
+                         f"transform: its peak 1/(2 pi t) overflows")
     xiv = np.asarray(xi, dtype=float)
-    if sign == "+":
-        return 1.0 / (2.0 * math.pi * (t + 1j * xiv))
-    return 1.0 / (2.0 * math.pi * (t - 1j * xiv))
+    z = t + 1j * xiv if sign == "+" else t - 1j * xiv
+    if math.isinf(c):
+        return (0.125 / math.pi) / (0.25 * z)
+    return 1.0 / (2.0 * math.pi * z)
 
 
 def abel_from_gaussians(t: float, x, u_max: float = 50.0, M: int = 4096):
@@ -215,13 +224,19 @@ def abel_from_gaussians(t: float, x, u_max: float = 50.0, M: int = 4096):
     r = np.abs(np.asarray(x, dtype=float))
     if not np.all(np.isfinite(r)):
         raise ValueError("evaluation points must be finite")
-    a = (math.pi * t * r) ** 2  # exponent scale; integrand is exp(-v^2 - a/v^2)
+    # exponent scale; the integrand is exp(-v^2 - a/v^2).  An a or a/v^2
+    # that overflows is a weight of 0, and where pi t overflows, t r is
+    # formed first, so that r = 0 keeps a = 0 (see _abel_exponent)
+    c = math.pi * t
+    with np.errstate(over="ignore"):
+        a = (math.pi * (t * r) if math.isinf(c) else c * r) ** 2
 
     def midpoint(m):
         h = math.sqrt(u_max) / m
         v = (np.arange(m) + 0.5) * h
         # shape (points, nodes) so each evaluation point integrates its own row
-        body = np.exp(-v * v - np.atleast_1d(a)[:, None] / (v * v))
+        with np.errstate(over="ignore"):
+            body = np.exp(-v * v - np.atleast_1d(a)[:, None] / (v * v))
         return (2.0 / math.sqrt(math.pi)) * h * body.sum(axis=1)
 
     fine = midpoint(M)

@@ -10,6 +10,7 @@ and 3 enter only through radial closed forms and ``radial_integrate``.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -136,6 +137,26 @@ class SampledFunction:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
+    @functools.cached_property
+    def _span(self) -> tuple[int, int]:
+        """``_nonzero_span(values)``, found once: the samples are read-only."""
+        return _nonzero_span(self.values)
+
+
+def _nonzero_span(vals: np.ndarray) -> tuple[int, int]:
+    """The index range [lo, hi) outside which every sample is zero.
+
+    O(1) when both end samples are nonzero; otherwise one pass for the
+    nonzero mask.  All-zero samples give the empty range (0, 0).
+    """
+    if vals[0] != 0 and vals[-1] != 0:
+        return 0, vals.size
+    nonzero = vals != 0
+    lo = int(nonzero.argmax())
+    if not nonzero[lo]:
+        return 0, 0
+    return lo, vals.size - int(nonzero[::-1].argmax())
+
 
 def _adopt(cls, values: np.ndarray, **fields):
     """``cls(values=values, **fields)`` without the copy of ``values``.
@@ -174,19 +195,29 @@ def sample_function(grid, func):
 
 # An addend's bucket is its np.frexp exponent, which runs from -1073 (the
 # least subnormal) to 1024, plus _EXP_BIAS; 26 more buckets hold the carry
-# of the high parts (see _exact_sum).
+# of the high parts, and the count is rounded up to whole carry groups of
+# _GROUP buckets (see _exact_sum).
 _EXP_BIAS = 1073
-_BUCKETS = _EXP_BIAS + 1024 + 1 + 26
+_GROUP = 10
+_BUCKETS = -(-(_EXP_BIAS + 1024 + 1 + 26) // _GROUP) * _GROUP
+_GROUP_SHIFTS = np.arange(_GROUP, dtype=np.int64)
 # At most 2**24 addends per accumulation keep every bucket sum below 2**53,
 # hence exact; each accumulation runs over cache-sized blocks.
 _CHUNK = 1 << 24
 _BLOCK = 1 << 15
 # Each exponent has _LANES buckets, and addend k of a block goes to lane
 # k % _LANES, so that neighbours, which mostly share an exponent, do not
-# wait on each other's bucket update: bucket (e + _EXP_BIAS) * _LANES +
-# lane, which is e * _LANES plus the offset of position k.
+# wait on each other's bucket update: bucket lane * _BUCKETS + e +
+# _EXP_BIAS, which is e plus the offset of position k.  Each lane is one
+# contiguous stretch of buckets, so the lanes fold by whole-array adds.
 _LANES = 4
-_OFFSET = _EXP_BIAS * _LANES + np.arange(_BLOCK) % _LANES
+_OFFSET = _EXP_BIAS + np.arange(_BLOCK) % _LANES * _BUCKETS
+# A block whose runs of one exponent are _MIN_RUN addends long on average
+# sums each run first and buckets the run sums in lane 0.  On blocks of
+# 2**15 addends the run sums overtake the lanes near a mean run of 12
+# addends; shorter runs, and addends whose exponent changes at almost
+# every step, such as noise, are bucketed addend by addend.
+_MIN_RUN = 16
 
 
 def _exact_sum(x: np.ndarray) -> float:
@@ -196,22 +227,33 @@ def _exact_sum(x: np.ndarray) -> float:
     m * 2**53 is an integer.  Its high part trunc(m * 2**27), an integer
     below 2**27, and its low part, an integer below 2**26 after scaling,
     are summed per exponent with np.bincount; over at most 2**24 addends
-    every bucket sum is exact.  The buckets are carried into one Python int
-    in units of 2**-1126, and the final int division rounds correctly, half
-    to even, as math.fsum does.  The result does not depend on the order of
-    the addends, and its bits are those of ``math.fsum(x.tolist())`` with
-    one difference: math.fsum raises on an intermediate overflow, while
-    here a representable exact total is returned.  A total out of range
-    raises OverflowError.  Non-finite addends go to math.fsum, which
-    defines their result.
+    every high bucket stays below 2**51 and every low bucket below 2**50,
+    so every bucket sum is exact.  The buckets are carried into one Python
+    int in units of 2**-1126, and the final int division rounds correctly,
+    half to even, as math.fsum does.  The result does not depend on the
+    order of the addends, and its bits are those of
+    ``math.fsum(x.tolist())`` with one difference: math.fsum raises on an
+    intermediate overflow, while here a representable exact total is
+    returned.  A total out of range raises OverflowError.  Non-finite
+    addends go to math.fsum, which defines their result.
 
-    Two things keep it fast without moving a bit.  Neighbouring addends of
-    a smooth function share an exponent, and np.bincount's updates of one
-    bucket form a serial chain; each exponent is therefore split over
-    interleaved lanes, folded before the carry, and the fold is exact
-    because every partial sum of one exponent is an integer below 2**51.
-    A block whose addends are all zero adds nothing and is skipped; the
-    sign of an all-zero sum is settled on the whole array first.
+    Three things keep it fast without moving a bit, each because every
+    partial sum involved is an integer below 2**53:
+
+    - Neighbouring addends of a smooth function share an exponent.  Where
+      a block's runs of one exponent are long, each run is summed first
+      with np.add.reduceat and only the run sums are bucketed.  A run
+      lies inside one block of at most 2**15 addends, so a high run sum
+      is below 2**42 and a low one below 2**41.
+    - Where runs are short, np.bincount's updates of one bucket form a
+      serial chain; each exponent is therefore split over interleaved
+      lanes, folded before the carry.  A block whose addends are all zero
+      adds nothing and is skipped; the sign of an all-zero sum is settled
+      on the whole array first.
+    - After the high parts are carried onto the low buckets, every bucket
+      is below 2**52, so it is cast to int64 exactly, and each group of
+      ten buckets v_i is merged into sum v_i * 2**i, below 2**62.  The
+      Python int then takes one shift and add per nonzero group.
     """
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     if not x.any():
@@ -234,21 +276,32 @@ def _exact_sum(x: np.ndarray) -> float:
                 hi = np.trunc(m)
                 m -= hi
                 m *= 2.0 ** 26
-                b = np.multiply(e, _LANES, dtype=np.intp)
-                # any block up to _BLOCK long takes a prefix of the offsets
-                b += _OFFSET[:block.size]
+                # the runs are counted before any index array is built,
+                # so that short runs pay only for this mask
+                first = np.empty(block.size, dtype=bool)
+                first[0] = True
+                np.not_equal(e[1:], e[:-1], out=first[1:])
+                if np.count_nonzero(first) * _MIN_RUN <= block.size:
+                    starts = np.flatnonzero(first)
+                    hi = np.add.reduceat(hi, starts)
+                    m = np.add.reduceat(m, starts)
+                    b = np.add(e[starts], _EXP_BIAS, dtype=np.intp)
+                else:
+                    # any block up to _BLOCK long takes a prefix of the offsets
+                    b = e + _OFFSET[:block.size]
                 high += np.bincount(b, weights=hi, minlength=high.size)
                 low += np.bincount(b, weights=m, minlength=low.size)
-            high = high.reshape(_BUCKETS, _LANES).sum(axis=1)
-            low = low.reshape(_BUCKETS, _LANES).sum(axis=1)
+            high = high.reshape(_LANES, _BUCKETS).sum(axis=0)
+            low = low.reshape(_LANES, _BUCKETS).sum(axis=0)
         if not (np.isfinite(high).all() and np.isfinite(low).all()):
             return math.fsum(x.tolist())
         # low[b] counts units of 2**(b - 1126) and high[b] units of
-        # 2**(b - 1100); the merged sums stay below 2**53
+        # 2**(b - 1100); group g counts units of 2**(_GROUP * g - 1126)
         low[26:] += high[:-26]
-        nonzero = np.flatnonzero(low)
-        for b, v in zip(nonzero.tolist(), low[nonzero].tolist()):
-            total += int(v) << b
+        groups = (low.astype(np.int64).reshape(-1, _GROUP) << _GROUP_SHIFTS).sum(axis=1)
+        nonzero = np.flatnonzero(groups)
+        for g, v in zip(nonzero.tolist(), groups[nonzero].tolist()):
+            total += v << (_GROUP * g)
     return total / (1 << (_EXP_BIAS + 53))
 
 

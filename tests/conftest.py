@@ -26,6 +26,9 @@ from abelharm import (
 # property tests draw the same examples on every run, like the package's
 # own computations; some examples build lattices, so no per-example deadline
 settings.register_profile("abelharm", derandomize=True, deadline=None)
+# the same examples and more of them, for kernels that must keep every bit:
+# pytest --hypothesis-profile=abelharm-heavy
+settings.register_profile("abelharm-heavy", settings.get_profile("abelharm"), max_examples=2000)
 settings.load_profile("abelharm")
 
 

@@ -72,6 +72,41 @@ def test_kernels_keep_their_closed_form_bits_at_ordinary_scales():
         for n in (1, 2, 3):
             want = poisson_constant(n) * t / (x * x + t * t) ** ((n + 1) / 2.0)
             assert poisson_kernel(n, t, x).tobytes() == want.tobytes()
+        assert half_kernel_ft("+", t, x).tobytes() == (1.0 / (2.0 * math.pi * (t + 1j * x))).tobytes()
+        assert half_kernel_ft("-", t, x).tobytes() == (1.0 / (2.0 * math.pi * (t - 1j * x))).tobytes()
+
+
+_PEAK = 1.0 / (2.0 * math.pi) / 1e308
+
+
+# each case used to stop with an overflow or invalid-value RuntimeWarning
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value, want", [
+    # 2 pi t overflows; the peak 1/(2 pi t) is a finite subnormal
+    (lambda: half_kernel_ft("+", 1e308, 0.0), _PEAK),
+    (lambda: half_kernel_ft("-", 1e308, np.array([0.0, 1e308])),
+     np.array([_PEAK, _PEAK * (1.0 + 1.0j) / 2.0])),
+    # pi t overflows at the origin, where the Abel kernel is 1 (to the
+    # quadrature's accuracy)
+    (lambda: abel_from_gaussians(1e308, 0.0), abel_from_gaussians(1.0, 0.0)),
+    # (pi t |x|)^2 overflows: the Abel kernel underflows to 0
+    (lambda: abel_from_gaussians(1e200, 1.0), 0.0),
+], ids=["half_kernel_ft_huge_scale", "half_kernel_ft_huge_scale_and_point",
+        "abel_from_gaussians_huge_scale_at_origin", "abel_from_gaussians_huge_exponent"])
+def test_kernels_at_extreme_scales_return_finite_values(value, want):
+    got = value()
+    assert np.all(np.isfinite(got))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_half_kernel_ft_rejects_a_scale_whose_peak_overflows(sign):
+    # 1/(2 pi t) is about 1.6e319 at t = 1e-320
+    with pytest.raises(ValueError, match=re.escape("scale 1e-320 is out of range")):
+        half_kernel_ft(sign, 1e-320, 0.0)
+    # a subnormal scale whose peak is finite keeps it
+    assert math.isfinite(half_kernel_ft(sign, 1e-309, 0.0).real)
 
 
 @pytest.mark.parametrize("n, t", [(1, 1e-200), (1, 1e200), (2, 1e-110), (3, 1e-100), (3, 1e100)])

@@ -1,6 +1,7 @@
 import math
 import struct
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -378,6 +379,23 @@ def test_exact_sum_matches_fsum_bits(xs):
     _assert_sum_matches_fsum(xs)
 
 
+# runs of one np.frexp exponent (exponent, length, seed), each at least 16
+# addends long with both signs, so that every block sums its runs first at
+# the default cut-off
+_runs = st.lists(
+    st.tuples(st.integers(-1074, 1024), st.integers(16, 300), st.integers(0, 2 ** 32 - 1)),
+    min_size=1, max_size=8)
+
+
+@given(_runs)
+def test_exact_sum_of_runs_of_one_exponent(runs):
+    xs = []
+    for e, size, seed in runs:
+        rng = np.random.default_rng(seed)
+        xs += np.ldexp(rng.uniform(0.5, 1.0, size) * rng.choice([-1.0, 1.0], size), e).tolist()
+    _assert_sum_matches_fsum(xs)
+
+
 @given(st.lists(_wide_floats, max_size=30), st.randoms(use_true_random=False))
 def test_exact_sum_of_cancelling_terms(xs, rnd):
     # mixed signs cancelling to exactly 0, in any order
@@ -422,6 +440,16 @@ def _blockwise_cases(rng, block):
     return [gaps, cancelling, -np.zeros(3 * block + 1), one_exponent, one_exponent * 2.0 ** -1040]
 
 
+def _smooth_cases(block):
+    # runs of one exponent that outlast a block and cross block and chunk
+    # boundaries: a slow decay, a two-sided Gaussian-damped tail down to
+    # subnormals and zeros, and a decay times an oscillation, whose runs
+    # hold both signs
+    u = np.linspace(0.0, 1.0, 9 * block + 5)
+    return [np.exp(-3.0 * u), np.exp(-745.0 * (2.0 * u - 1.0) ** 2),
+            np.exp(-40.0 * u) * np.cos(300.0 * u)]
+
+
 # block lengths 3, 5, 1 and 6 are not multiples of the lane count
 @pytest.mark.parametrize("chunk, block", [(7, 3), (5, 5), (16, 4), (1, 1), (40, 6)])
 def test_exact_sum_across_chunk_and_block_boundaries(monkeypatch, chunk, block):
@@ -430,8 +458,72 @@ def test_exact_sum_across_chunk_and_block_boundaries(monkeypatch, chunk, block):
     rng = np.random.default_rng(7)
     cases = [rng.standard_normal(size) * np.exp2(rng.integers(-1074, 1000, size))
              for size in range(0, 3 * chunk + 2 * block + 3)]
-    for x in cases + _blockwise_cases(rng, block):
+    cases += _blockwise_cases(rng, block) + _smooth_cases(block)
+    # a minimum run of 1 sums the runs of every block first, one of 2**20
+    # those of none
+    for min_run in (1, 16, 1 << 20):
+        monkeypatch.setattr(sampled, "_MIN_RUN", min_run)
+        for x in cases:
+            assert _bits(_exact_sum(x)) == _bits(math.fsum(x.tolist()))
+
+
+# the default block and chunk lengths, with the run sums on, off and at
+# their default cut-off
+@pytest.mark.parametrize("min_run", [1, 16, 1 << 20])
+def test_exact_sum_runs_at_the_default_lengths(monkeypatch, min_run):
+    monkeypatch.setattr(sampled, "_MIN_RUN", min_run)
+    rng = np.random.default_rng(11)
+    n = 3 * sampled._BLOCK + 77
+    # mixed signs within each run of one exponent, the runs longer than
+    # a block
+    signs = rng.choice([-1.0, 1.0], n)
+    scales = np.repeat(np.exp2([-3.0, 40.0, -900.0]), n // 3 + 1)[:n]
+    mixed = signs * rng.uniform(0.5, 1.0, n) * scales
+    # a Gauss-damped tail through more than 1000 binades down to subnormals
+    r = np.linspace(-30.0, 30.0, n)
+    tail = np.exp(-math.pi * r * r / 1.15) * np.cos(r)
+    binades = np.frexp(tail[tail != 0])[1]
+    assert binades.max() - binades.min() > 1000 and np.any(np.abs(tail) < 2.0 ** -1022)
+    for x in (mixed, tail, -tail, tail * 2.0 ** 1000, rng.standard_normal(n)):
         assert _bits(_exact_sum(x)) == _bits(math.fsum(x.tolist()))
+
+
+@pytest.mark.parametrize("xs", [
+    # carry groups of ten buckets whose merged values are negative, next
+    # to positive ones, and borrowing across groups
+    [2.0 ** 100, -(2.0 ** 60), 2.0 ** 20, -(2.0 ** -20), 2.0 ** -60, -(2.0 ** -1000)],
+    [1.0, -(2.0 ** -1074)],
+    [-1.0, 2.0 ** -1074],
+    [2.0 ** -1022, -(2.0 ** -1074)],
+    [2.0 ** 1023, -(2.0 ** 900), -(2.0 ** 500), 2.0 ** -500],
+    [-(2.0 ** 1023), 2.0 ** 1013, -(2.0 ** 1003), 2.0 ** 993],
+    [3.0 * 2.0 ** k * (-1) ** k for k in range(-1070, 1020, 7)],
+])
+def test_exact_sum_carry_groups_with_negative_values(xs):
+    assert _bits(_exact_sum(np.array(xs))) == _bits(math.fsum(xs))
+
+
+@pytest.mark.parametrize("head, run, sign", [
+    # 1024 equal addends of 2**-63 add up to exactly 2**-53, half a unit
+    # of 1.0: the total is a tie that rounds to even
+    (1.0, [2.0 ** -63] * 1024, 1.0),
+    (1.0 + 2.0 ** -52, [2.0 ** -63] * 1024, 1.0),
+    # a run of both signs whose sum is the same tie
+    (1.0, [2.0 ** -62] * 1024 + [-(2.0 ** -62)] * 512, 1.0),
+    (1.0 + 2.0 ** -52, [-(2.0 ** -62)] * 512 + [2.0 ** -62] * 1024, -1.0),
+    # 2**60 - 64, the tie just below a power of two, from runs that cross
+    # block boundaries
+    (2.0 ** 60, [-(2.0 ** -9)] * (1 << 15), 1.0),
+    (2.0 ** 60, [-(2.0 ** -8)] * (1 << 15) + [2.0 ** -9] * (1 << 15), -1.0),
+])
+def test_exact_sum_of_a_run_that_lands_on_a_tie(head, run, sign):
+    xs = [sign * head] + [sign * v for v in run]
+    want = math.fsum(xs)
+    exact = sum(map(Fraction, xs))
+    # the exact total lies halfway between want and its neighbour
+    other = math.nextafter(want, math.inf if exact > want else -math.inf)
+    assert exact == (Fraction(want) + Fraction(other)) / 2
+    assert _bits(_exact_sum(np.array(xs))) == _bits(want)
 
 
 def test_exact_sum_overflow():

@@ -18,6 +18,7 @@ from abelharm import (
     sample_kernel,
     summability_verdict,
 )
+from abelharm import sampled
 from abelharm.summability import _extrapolate, _radii
 
 
@@ -115,6 +116,45 @@ def test_verdict_rejects_unknown_kind():
     h = sample_function(g, lambda x: np.exp(-x * x))
     with pytest.raises(ValueError):
         summability_verdict(h, "cesaro", default_schedule())
+
+
+def _span_witnesses():
+    # zero tails on both sides (the span is trimmed), no zero at either
+    # end (the whole lattice), and complex samples with zero tails
+    g = make_grid(1, 60.0, 4096)
+    return [
+        sample_function(g, lambda x: np.exp(-math.pi * x * x)),
+        sample_kernel(g, KernelSpec("poisson", 1.0, 1)),
+        sample_function(g, lambda x: np.exp(-2.0 * math.pi * np.abs(x) + 3.0j * x)),
+    ]
+
+
+@pytest.mark.parametrize("kind, mean", [("abel", abel_mean), ("gauss", gauss_mean)])
+def test_verdict_means_are_the_single_means_bit_for_bit(kind, mean):
+    schedule = default_schedule()
+    for h in _span_witnesses():
+        means = summability_verdict(h, kind, schedule).means
+        single = np.array([mean(h, t) for t in schedule.t_values], dtype=complex)
+        assert means.tobytes() == single.tobytes()
+
+
+def test_nonzero_span_is_found_once_per_sample_array(monkeypatch):
+    calls, span = [], sampled._nonzero_span
+
+    def counting(vals):
+        calls.append(vals)
+        return span(vals)
+
+    monkeypatch.setattr(sampled, "_nonzero_span", counting)
+    witnesses = _span_witnesses()
+    for h in witnesses:
+        for kind in ("abel", "gauss"):
+            summability_verdict(h, kind, default_schedule())
+        abel_mean(h, 0.5)
+    assert len(calls) == len(witnesses)
+    assert all(c is h.values for c, h in zip(calls, witnesses))
+    # the Gaussian's span is trimmed, the Poisson kernel's is the lattice
+    assert witnesses[0]._span != (0, 4096) and witnesses[1]._span == (0, 4096)
 
 
 def test_radial_means_match_lattice_means():
