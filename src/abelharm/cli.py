@@ -471,8 +471,9 @@ def _run_hardy():
     F_p1 = forward_ft(p1)
     w_pois = project_spectrum(F_p1, SupportSpec.nonneg())
     f_pois = inverse_ft(w_pois)
-    g0 = sample_function(space, lambda x: np.exp(-math.pi * x * x))
-    w_gauss, _ = hardy_split(g0)
+    # no name holds these samples, so their spectrum, which forward_ft
+    # keeps with them, is freed once they are split
+    w_gauss, _ = hardy_split(sample_function(space, lambda x: np.exp(-math.pi * x * x)))
     f_gauss = inverse_ft(w_gauss)
 
     # three representations of the same extension

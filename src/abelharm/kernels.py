@@ -123,7 +123,10 @@ def poisson_kernel(n: int, t: float, r):
 
     The peak's denominator t^(n+1) must be a normal float: a scale that
     underflows it (t = 1e-200 in dimension 1, whose finite peak c_1 / t
-    would come out inf) or overflows it raises ValueError.
+    would come out inf) or overflows it raises ValueError.  Where the
+    denominator (r^2 + t^2)^((n+1)/2) overflows, r and t are first scaled
+    by m = max(t, |r|), as ``math.hypot`` does, so that the value is the
+    rounded one, such as 3.18e-171 at t = 1e150, r = 1e160, and not 0.
     """
     _check_scale(t)
     c = poisson_constant(n)
@@ -134,7 +137,22 @@ def poisson_kernel(n: int, t: float, r):
         raise ValueError(f"scale {t} is out of range for the Poisson kernel in "
                          f"dimension {n}: t**{n + 1} is not a normal float")
     rv = np.asarray(r, dtype=float)
-    return c * t / (rv * rv + t * t) ** power
+    with np.errstate(over="ignore"):
+        out = c * t / (rv * rv + t * t) ** power
+        # a denominator that overflows leaves a quotient of 0: one pass
+        # over the quotients, with no mask array, finds whether any is 0
+        if np.fmin.reduce(out, axis=None, initial=math.inf) > 0.0:
+            return out
+        huge = np.isinf((rv * rv + t * t) ** power)
+    # c (t/m) / m^n / ((r/m)^2 + (t/m)^2)^power, dividing by m once per
+    # power so that no intermediate overflows
+    out = np.asarray(out)
+    m = np.maximum(np.abs(rv[huge]), t)
+    scaled = c * (t / m)
+    for _ in range(n):
+        scaled = scaled / m
+    out[huge] = scaled / ((rv[huge] / m) ** 2 + (t / m) ** 2) ** power
+    return out[()]
 
 
 def abel_ft(n: int, t: float, xi):
@@ -171,8 +189,10 @@ def half_kernel_ft(sign: str, t: float, xi):
     complex conjugate; the two sum to the Poisson kernel on the line.
 
     A scale whose peak 1/(2 pi t) overflows (t below about 9e-310)
-    raises ValueError.  Where 2 pi t overflows, t +- i xi is scaled by
-    1/4 before the division, so that the value stays finite.
+    raises ValueError.  Where 2 pi (t +- i xi) overflows, at a huge
+    scale or a huge point, t +- i xi is scaled by 1/4 before the
+    division, so that the value stays finite: 1.59e-309 at t = 1e308,
+    and about -1.59e-309 i at t = 1, xi = 1e308 on the "+" side.
     """
     _check_scale(t)
     if sign not in ("+", "-"):
@@ -182,10 +202,14 @@ def half_kernel_ft(sign: str, t: float, xi):
         raise ValueError(f"scale {t} is out of range for the half-line kernel "
                          f"transform: its peak 1/(2 pi t) overflows")
     xiv = np.asarray(xi, dtype=float)
-    z = t + 1j * xiv if sign == "+" else t - 1j * xiv
-    if math.isinf(c):
-        return (0.125 / math.pi) / (0.25 * z)
-    return 1.0 / (2.0 * math.pi * z)
+    z = np.asarray(t + 1j * xiv if sign == "+" else t - 1j * xiv)
+    with np.errstate(over="ignore"):
+        w = np.asarray(2.0 * math.pi * z)
+    huge = np.isinf(w)
+    w[huge] = 1.0
+    out = np.divide(1.0, w, out=w)
+    out[huge] = (0.125 / math.pi) / (0.25 * z[huge])
+    return out[()]
 
 
 def abel_from_gaussians(t: float, x, u_max: float = 50.0, M: int = 4096):

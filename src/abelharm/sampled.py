@@ -142,6 +142,18 @@ class SampledFunction:
         """``_nonzero_span(values)``, found once: the samples are read-only."""
         return _nonzero_span(self.values)
 
+    def _derived(self, key, build):
+        """``build()``, computed once per ``key`` and kept as long as the samples.
+
+        For values that depend on the samples alone, such as their
+        spectrum: the samples are read-only, so a kept value cannot go
+        stale.
+        """
+        memo = self.__dict__.setdefault("_memo", {})
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
+
 
 def _nonzero_span(vals: np.ndarray) -> tuple[int, int]:
     """The index range [lo, hi) outside which every sample is zero.

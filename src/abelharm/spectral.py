@@ -136,17 +136,20 @@ def _centred_dft(values: np.ndarray, spacing: float, inverse: bool) -> np.ndarra
     unnormalized FFT, and no exponential.
 
     Real samples take a real FFT of half the work, written straight into
-    the first N/2 + 1 outputs; the rest is their Hermitian mirror
-    out[N - k] = conj(out[k]), exact, and the sign pattern keeps it so,
-    since (-1)^(N-k) = (-1)^k.  The inverse kernel is the conjugate of the
-    forward one, so a real input conjugates the result.  A float64 array
-    is real by its dtype; a complex one is real when its imaginary part is
-    all zero, of either sign, as in a real spectrum sampled in closed
-    form, and gives the same bits as its real part would.  Other complex
-    samples are transformed in place in their sign-flipped copy.  The
-    result is complex128 in every case.
+    the first N/2 + 1 outputs, which alone take a conjugation for the
+    inverse kernel (the conjugate of the forward one), the sign pattern
+    and the spacing; the rest is their Hermitian mirror
+    out[N - k] = conj(out[k]), exact.  The mirror may come last, since
+    (-1)^(N-k) = (-1)^k for even N, and negation and real scaling commute
+    exactly with conjugation.  A float64 array is real by its dtype; a
+    complex one is real when its imaginary part is all zero, of either
+    sign, as in a real spectrum sampled in closed form, and gives the same
+    bits as its real part would.  Other complex samples are transformed
+    in place in their sign-flipped copy.  The result is complex128 in
+    every case.
     """
     size = values.size
+    scale = spacing if size % 4 == 0 else -spacing
     out = np.empty(size, dtype=complex)
     if np.iscomplexobj(values) and values.imag.any():
         out[...] = values
@@ -155,16 +158,19 @@ def _centred_dft(values: np.ndarray, spacing: float, inverse: bool) -> np.ndarra
             np.fft.ifft(out, norm="forward", out=out)
         else:
             np.fft.fft(out, out=out)
-    else:
-        half = size // 2
-        shifted = values.real.copy()
-        shifted[1::2] *= -1.0
-        np.fft.rfft(shifted, out=out[:half + 1])
-        np.conjugate(out[half - 1:0:-1], out=out[half + 1:])
-        if inverse:
-            np.conjugate(out, out=out)
-    out[1::2] *= -1.0
-    out *= spacing if size % 4 == 0 else -spacing
+        out[1::2] *= -1.0
+        out *= scale
+        return out
+    half = size // 2
+    shifted = values.real.copy()
+    shifted[1::2] *= -1.0
+    head = out[:half + 1]
+    np.fft.rfft(shifted, out=head)
+    if inverse:
+        np.conjugate(head, out=head)
+    head[1::2] *= -1.0
+    head *= scale
+    np.conjugate(out[half - 1:0:-1], out=out[half + 1:])
     return out
 
 
@@ -181,9 +187,13 @@ def forward_ft(f: SampledFunction) -> Spectrum:
     exactly Hermitian: at every lattice frequency xi whose negative is a
     lattice frequency too, the value at -xi is the conjugate of the value
     at xi, bit for bit.
+
+    A sample array is transformed once: its spectrum is kept with it, and
+    a repeat call returns the same read-only :class:`Spectrum`.
     """
-    vals = _centred_dft(f.values, f.grid.spacing, inverse=False)
-    return _adopt(Spectrum, vals, grid=f.grid.reciprocal(), support=SupportSpec.full_line())
+    return f._derived("spectrum", lambda: _adopt(
+        Spectrum, _centred_dft(f.values, f.grid.spacing, inverse=False),
+        grid=f.grid.reciprocal(), support=SupportSpec.full_line()))
 
 
 def inverse_ft(F: Spectrum) -> SampledFunction:

@@ -24,6 +24,7 @@ from abelharm import (
     sample_spectrum,
     KernelSpec,
 )
+from abelharm import halfplane
 
 
 @pytest.fixture(scope="module")
@@ -197,11 +198,13 @@ def test_split_reassembles_random_samples(half_points, half_width, seed):
     half_points=st.integers(2, 300),
     half_width=st.floats(0.5, 50.0),
     t=st.floats(0.01, 5.0),
+    block=st.sampled_from((8, None)),
     seed=st.integers(0, 2 ** 32 - 1),
 )
-def test_real_samples_give_the_bits_of_complex_ones(half_points, half_width, t, seed):
+def test_real_samples_give_the_bits_of_complex_ones(half_points, half_width, t, block, seed):
     # the split, the harmonic extension and the Cauchy oracle of float64
-    # samples against the same samples typed complex128, imaginary parts +0.0
+    # samples against the same samples typed complex128, imaginary parts
+    # +0.0; a block of 8 points sends the oracle's far blocks to moments
     rng = np.random.default_rng(seed)
     g = make_grid(1, half_width, 2 * half_points)
     vals = rng.standard_normal(g.size) * 10.0 ** rng.integers(-6, 7, g.size)
@@ -216,8 +219,11 @@ def test_real_samples_give_the_bits_of_complex_ones(half_points, half_width, t, 
     assert ext.values.dtype == np.float64
     assert same(ext.values, poisson_extend(cplx, t).values)
     x = rng.uniform(-2.0 * half_width, 2.0 * half_width, 5)
-    for side in ("upper", "lower"):
-        assert same(cauchy_represent(real, side, t, x), cauchy_represent(cplx, side, t, x))
+    with pytest.MonkeyPatch.context() as patch:
+        if block is not None:
+            patch.setattr(halfplane, "_CAUCHY_BLOCK", block)
+        for side in ("upper", "lower"):
+            assert same(cauchy_represent(real, side, t, x), cauchy_represent(cplx, side, t, x))
 
 
 # the Cauchy kernel of each side in closed form: 1/(2 pi (t - ix)) reproduces
@@ -249,35 +255,96 @@ def _random_samples(rng, grid):
     half_width=st.floats(0.5, 50.0),
     m=st.integers(1, 20),
     side=st.sampled_from(("upper", "lower")),
-    t=st.floats(0.01, 5.0),
+    t=st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+    block=st.sampled_from((4, 16, 64, None)),
     seed=st.integers(0, 2 ** 32 - 1),
 )
-@example(half_points=5000, half_width=40.0, m=9, side="upper", t=0.25, seed=0)
-@example(half_points=2, half_width=0.5, m=1, side="lower", t=0.01, seed=1)
-def test_cauchy_represent_matches_direct_sum(half_points, half_width, m, side, t, seed):
-    # the blocked real-arithmetic sum against the closed-form kernel,
-    # summed term by term
+@example(half_points=5000, half_width=40.0, m=9, side="upper", t=0.25, block=None, seed=0)
+@example(half_points=2, half_width=0.5, m=1, side="lower", t=0.01, block=None, seed=1)
+@example(half_points=1001, half_width=3.0, m=20, side="lower", t=1e-3, block=4, seed=2)
+@example(half_points=1001, half_width=3.0, m=20, side="upper", t=1e3, block=64, seed=3)
+def test_cauchy_represent_matches_direct_sum(half_points, half_width, m, side, t, block, seed):
+    # the block-moment far field and the direct near field against the
+    # closed-form kernel, summed term by term; a short block length
+    # (None keeps the default) sends most blocks to the far field, heights
+    # run from 1e-3 to 1e3, and the points lie inside, at the edges of and
+    # outside the lattice
     rng = np.random.default_rng(seed)
     g = make_grid(1, half_width, 2 * half_points)
     f = _random_samples(rng, g)
-    x = rng.uniform(-2.0 * half_width, 2.0 * half_width, m)
-    _assert_matches_direct(f, side, t, x, cauchy_represent(f, side, t, x))
+    edges = [-half_width, g._axis_range(g.points - 1, g.points)[0], half_width]
+    x = np.concatenate([rng.uniform(-2.0 * half_width, 2.0 * half_width, m), edges])
+    with pytest.MonkeyPatch.context() as patch:
+        if block is not None:
+            patch.setattr(halfplane, "_CAUCHY_BLOCK", block)
+        got = cauchy_represent(f, side, t, x)
+    _assert_matches_direct(f, side, t, x, got)
 
 
-# (lattice chunk, lattice points); None is one chunk longer than the lattice
-@pytest.mark.parametrize("chunk, points", [(1, 130), (7, 1030), (None, 130), (None, 2 ** 16)])
+# (block length, lattice points); None is one block longer than the lattice
+@pytest.mark.parametrize("block, points", [(1, 130), (7, 1030), (None, 130), (None, 2 ** 16)])
 @pytest.mark.parametrize("side", ["upper", "lower"])
-def test_cauchy_points_do_not_depend_on_their_batch(monkeypatch, chunk, points, side):
-    # whatever the lattice chunk, each point's bits are the same alone, in
-    # a batch (the last one short), in reverse order and in a shorter batch
-    from abelharm import halfplane
-
+def test_cauchy_points_do_not_depend_on_their_batch(monkeypatch, block, points, side):
+    # whatever the block length, each point's bits are the same alone, in
+    # a batch, in reverse order and in a shorter batch
     g = make_grid(1, 3.0, points)
     f = _random_samples(np.random.default_rng(7), g)
-    monkeypatch.setattr(halfplane, "_CAUCHY_CHUNK", points + 1 if chunk is None else chunk)
+    monkeypatch.setattr(halfplane, "_CAUCHY_BLOCK", points + 1 if block is None else block)
     x = np.linspace(-4.0, 4.0, 11)
     batch = cauchy_represent(f, side, 0.3, x)
     assert np.array_equal(cauchy_represent(f, side, 0.3, x[::-1])[::-1], batch)
     assert np.array_equal(cauchy_represent(f, side, 0.3, x[1:]), batch[1:])
     assert np.array_equal(np.array([cauchy_represent(f, side, 0.3, xx) for xx in x]), batch)
     _assert_matches_direct(f, side, 0.3, x, batch)
+
+
+def test_a_sample_array_is_transformed_once(monkeypatch):
+    # hardy_split(f) and then forward_ft(f) cost one transform; the kept
+    # spectrum is read-only and has the bits of a fresh copy's transform
+    from abelharm import spectral
+
+    calls, dft = [], spectral._centred_dft
+
+    def counting(values, spacing, inverse):
+        calls.append(inverse)
+        return dft(values, spacing, inverse)
+
+    monkeypatch.setattr(spectral, "_centred_dft", counting)
+    g = make_grid(1, 8.0, 4096)
+    f = _random_samples(np.random.default_rng(3), g)
+    plus, minus = hardy_split(f)
+    F = forward_ft(f)
+    assert calls == [False]
+    assert forward_ft(f) is F
+    assert np.all(plus.values + minus.values == F.values)
+    with pytest.raises(ValueError, match="read-only"):
+        F.values[0] = 1.0
+    fresh = forward_ft(SampledFunction(g, f.values.copy()))
+    assert len(calls) == 2
+    assert F.values.tobytes() == fresh.values.tobytes()
+
+
+def test_cauchy_moment_table_is_built_once_per_sample_array(monkeypatch):
+    # three heights on both sides share one table, whose values are those
+    # of a fresh copy's table; another block length builds its own
+    calls, build = [], halfplane._block_moments
+
+    def counting(f, block, order):
+        calls.append((f, block))
+        return build(f, block, order)
+
+    monkeypatch.setattr(halfplane, "_block_moments", counting)
+    monkeypatch.setattr(halfplane, "_CAUCHY_BLOCK", 64)
+    g = make_grid(1, 40.0, 4096)
+    f = _random_samples(np.random.default_rng(4), g)
+    x = np.linspace(-2.0, 2.0, 9)
+    cases = [(side, t) for side in ("upper", "lower") for t in (0.25, 0.5, 1.0)]
+    values = [cauchy_represent(f, side, t, x) for side, t in cases]
+    assert len(calls) == 1 and calls[0][0] is f
+    fresh = SampledFunction(g, f.values.copy())
+    for (side, t), got in zip(cases, values):
+        assert cauchy_represent(fresh, side, t, x).tobytes() == got.tobytes()
+    assert len(calls) == 2
+    monkeypatch.setattr(halfplane, "_CAUCHY_BLOCK", 16)
+    _assert_matches_direct(f, "upper", 0.5, x, cauchy_represent(f, "upper", 0.5, x))
+    assert [(c is f, block) for c, block in calls[2:]] == [(True, 16)]

@@ -242,7 +242,10 @@ _THREADING_PROBE = textwrap.dedent("""
     freq = make_grid(1, 65536.0, 2 ** 21).reciprocal()
     w_exp = sample_spectrum(freq, lambda xi: np.exp(-2.0 * math.pi * xi), SupportSpec.nonneg())
     upper = evaluate_upper(w_exp, np.linspace(-2.0, 2.0, 25) + 0.5j)
-    cauchy = cauchy_represent(inverse_ft(w_exp), "upper", 0.5, np.linspace(-2.0, 2.0, 25))
+    # two heights and both sides on one sample array share its moment table
+    f_exp, xq = inverse_ft(w_exp), np.linspace(-2.0, 2.0, 25)
+    cauchy = [cauchy_represent(f_exp, side, t, xq)
+              for side, t in (("upper", 0.5), ("upper", 1.0), ("lower", 0.5))]
     small = make_grid(1, 100.0, 2 ** 14)
     extension = poisson_extend(sample_kernel(small, KernelSpec("poisson", 1.0, 1)), 0.5).values
     band = sample_spectrum(make_grid(1, 2.0, 2048), np.ones_like, SupportSpec.interval(-1.0, 1.0))
@@ -250,7 +253,7 @@ _THREADING_PROBE = textwrap.dedent("""
     entire = evaluate_entire(band, xs[None, :] + 1j * ys[:, None])
     axis = evaluate_entire(band, np.arange(-50.0, 50.005, 0.01))
     sha = hashlib.sha256()
-    for arr in (upper, cauchy, extension, entire, axis):
+    for arr in (upper, *cauchy, extension, entire, axis):
         sha.update(np.ascontiguousarray(arr).tobytes())
     sys.stdout.write(sha.hexdigest())
 """)

@@ -91,8 +91,21 @@ _PEAK = 1.0 / (2.0 * math.pi) / 1e308
     (lambda: abel_from_gaussians(1e308, 0.0), abel_from_gaussians(1.0, 0.0)),
     # (pi t |x|)^2 overflows: the Abel kernel underflows to 0
     (lambda: abel_from_gaussians(1e200, 1.0), 0.0),
+    # 2 pi xi overflows at t = 1, on either side: about -+i/(2 pi xi)
+    (lambda: half_kernel_ft("+", 1.0, 1e308), -1.0j * _PEAK),
+    (lambda: half_kernel_ft("-", 1.0, np.array([0.5, -1e308])),
+     np.array([1.0 / (2.0 * math.pi * (1.0 - 0.5j)), -1.0j * _PEAK])),
+    # r^2 overflows: the kernel underflows to 0, or, scaled by max(t, |r|),
+    # keeps a value that squaring both would round to 0
+    (lambda: poisson_kernel(1, 1.0, np.array([0.0, 1e200])), np.array([1.0 / math.pi, 0.0])),
+    (lambda: poisson_kernel(1, 1e150, 1e160), 1e-10 / math.pi / 1e160),
+    # r^2 + t^2 is finite but its square overflows in dimension 3
+    (lambda: poisson_kernel(3, 1.0, 1e100), 0.0),
 ], ids=["half_kernel_ft_huge_scale", "half_kernel_ft_huge_scale_and_point",
-        "abel_from_gaussians_huge_scale_at_origin", "abel_from_gaussians_huge_exponent"])
+        "abel_from_gaussians_huge_scale_at_origin", "abel_from_gaussians_huge_exponent",
+        "half_kernel_ft_huge_point_plus", "half_kernel_ft_huge_point_minus",
+        "poisson_kernel_huge_point", "poisson_kernel_huge_scale_and_point",
+        "poisson_kernel_huge_point_dimension_3"])
 def test_kernels_at_extreme_scales_return_finite_values(value, want):
     got = value()
     assert np.all(np.isfinite(got))

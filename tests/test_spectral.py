@@ -18,7 +18,7 @@ from abelharm import (
     sample_function,
     sample_spectrum,
 )
-from abelharm.spectral import _factored_sum, _slice_sum, _support_range
+from abelharm.spectral import _centred_dft, _factored_sum, _slice_sum, _support_range
 
 
 def test_support_spec_kinds():
@@ -190,6 +190,46 @@ def test_transforms_of_real_samples_are_exactly_hermitian(points, imag):
         assert np.array_equal(out[points - k], np.conj(out[k]))
         ref = g.spacing * _sign_pattern(points) * dft
         assert np.max(np.abs(out - ref)) <= 1e-15 * g.spacing * np.sum(np.abs(vals))
+
+
+def _centred_dft_reference(values, spacing, inverse):
+    """The real path of ``_centred_dft`` as it was: mirror the whole real
+    FFT first, then conjugate, flip and scale all N outputs."""
+    size = values.size
+    half = size // 2
+    out = np.empty(size, dtype=complex)
+    shifted = values.real.copy()
+    shifted[1::2] *= -1.0
+    np.fft.rfft(shifted, out=out[:half + 1])
+    np.conjugate(out[half - 1:0:-1], out=out[half + 1:])
+    if inverse:
+        np.conjugate(out, out=out)
+    out[1::2] *= -1.0
+    out *= spacing if size % 4 == 0 else -spacing
+    return out
+
+
+@pytest.mark.parametrize("points", [6, 90, 4096, 81920, 2 ** 20 + 2, 2 ** 21])
+@pytest.mark.parametrize("inverse", [False, True])
+def test_real_transform_signs_and_scales_half_the_outputs_with_the_same_bits(points, inverse):
+    # the sign pattern, the spacing and the inverse's conjugation act on the
+    # N/2 + 1 outputs of the real FFT before the mirror; a run of zero
+    # samples, as in a one-sided spectrum, is kept
+    rng = np.random.default_rng(points)
+    vals = rng.standard_normal(points)
+    vals[: points // 3] = 0.0
+    got = _centred_dft(vals, 0.37, inverse)
+    assert got.tobytes() == _centred_dft_reference(vals, 0.37, inverse).tobytes()
+    # where an output part is exactly zero, as for a lone sample at the
+    # origin, the values are the same, and each mirrored entry is now
+    # bitwise the conjugate of its partner, signed zeros included; the
+    # reference wrote some of those zeros with the other sign
+    lone = np.zeros(points)
+    lone[points // 2] = 2.5
+    got = _centred_dft(lone, 0.37, inverse)
+    assert np.array_equal(got, _centred_dft_reference(lone, 0.37, inverse))
+    k = np.arange(1, points // 2)
+    assert got[points - k].tobytes() == np.conj(got[k]).tobytes()
 
 
 def test_inverse_of_two_sided_exponential_is_poisson():
