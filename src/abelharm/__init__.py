@@ -45,11 +45,10 @@ from .spectral import (
     sample_spectrum,
 )
 from .summability import (
-    Schedule,
+    SCALES,
     SummabilityReport,
     abel_mean,
     abel_mean_radial,
-    default_schedule,
     gauss_mean,
     summability_verdict,
 )
@@ -99,11 +98,10 @@ __all__ = [
     "lattice_sum",
     "project_spectrum",
     "sample_spectrum",
-    "Schedule",
+    "SCALES",
     "SummabilityReport",
     "abel_mean",
     "abel_mean_radial",
-    "default_schedule",
     "gauss_mean",
     "summability_verdict",
     "HalfPlaneField",

@@ -217,18 +217,10 @@ _GROUP_SHIFTS = np.arange(_GROUP, dtype=np.int64)
 # hence exact; each accumulation runs over cache-sized blocks.
 _CHUNK = 1 << 24
 _BLOCK = 1 << 15
-# Each exponent has _LANES buckets, and addend k of a block goes to lane
-# k % _LANES, so that neighbours, which mostly share an exponent, do not
-# wait on each other's bucket update: bucket lane * _BUCKETS + e +
-# _EXP_BIAS, which is e plus the offset of position k.  Each lane is one
-# contiguous stretch of buckets, so the lanes fold by whole-array adds.
-_LANES = 4
-_OFFSET = _EXP_BIAS + np.arange(_BLOCK) % _LANES * _BUCKETS
 # A block whose runs of one exponent are _MIN_RUN addends long on average
-# sums each run first and buckets the run sums in lane 0.  On blocks of
-# 2**15 addends the run sums overtake the lanes near a mean run of 12
-# addends; shorter runs, and addends whose exponent changes at almost
-# every step, such as noise, are bucketed addend by addend.
+# sums each run first and buckets the run sums.  Shorter runs, and addends
+# whose exponent changes at almost every step, such as noise, are bucketed
+# addend by addend.
 _MIN_RUN = 16
 
 
@@ -257,11 +249,8 @@ def _exact_sum(x: np.ndarray) -> float:
       with np.add.reduceat and only the run sums are bucketed.  A run
       lies inside one block of at most 2**15 addends, so a high run sum
       is below 2**42 and a low one below 2**41.
-    - Where runs are short, np.bincount's updates of one bucket form a
-      serial chain; each exponent is therefore split over interleaved
-      lanes, folded before the carry.  A block whose addends are all zero
-      adds nothing and is skipped; the sign of an all-zero sum is settled
-      on the whole array first.
+    - A block whose addends are all zero adds nothing and is skipped; the
+      sign of an all-zero sum is settled on the whole array first.
     - After the high parts are carried onto the low buckets, every bucket
       is below 2**52, so it is cast to int64 exactly, and each group of
       ten buckets v_i is merged into sum v_i * 2**i, below 2**62.  The
@@ -274,10 +263,10 @@ def _exact_sum(x: np.ndarray) -> float:
     total = 0
     for start in range(0, x.size, _CHUNK):
         stop = min(start + _CHUNK, x.size)
-        high = np.zeros(_BUCKETS * _LANES)
-        low = np.zeros(_BUCKETS * _LANES)
-        # an inf addend leaves a NaN low part, caught below; the fold may
-        # meet inf - inf
+        high = np.zeros(_BUCKETS)
+        low = np.zeros(_BUCKETS)
+        # an inf addend leaves a NaN low part, and infs of both signs may
+        # meet in a bucket: both are caught below
         with np.errstate(invalid="ignore"):
             for i in range(start, stop, _BLOCK):
                 block = x[i:min(i + _BLOCK, stop)]
@@ -297,14 +286,10 @@ def _exact_sum(x: np.ndarray) -> float:
                     starts = np.flatnonzero(first)
                     hi = np.add.reduceat(hi, starts)
                     m = np.add.reduceat(m, starts)
-                    b = np.add(e[starts], _EXP_BIAS, dtype=np.intp)
-                else:
-                    # any block up to _BLOCK long takes a prefix of the offsets
-                    b = e + _OFFSET[:block.size]
-                high += np.bincount(b, weights=hi, minlength=high.size)
-                low += np.bincount(b, weights=m, minlength=low.size)
-            high = high.reshape(_LANES, _BUCKETS).sum(axis=0)
-            low = low.reshape(_LANES, _BUCKETS).sum(axis=0)
+                    e = e[starts]
+                b = np.add(e, _EXP_BIAS, dtype=np.intp)
+                high += np.bincount(b, weights=hi, minlength=_BUCKETS)
+                low += np.bincount(b, weights=m, minlength=_BUCKETS)
         if not (np.isfinite(high).all() and np.isfinite(low).all()):
             return math.fsum(x.tolist())
         # low[b] counts units of 2**(b - 1126) and high[b] units of
@@ -396,42 +381,35 @@ def convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:
     return _adopt(SampledFunction, vals, grid=f.grid)
 
 
-# Double-exponential rules (Takahasi & Mori, Publ. RIMS 9, 1974) on the 769
-# nodes u = k/64, |u| <= 6, through s = (pi/2) sinh u: exp-sinh maps u to
-# r = exp(s) on [0, inf), tanh-sinh to x = (1 + tanh s)/2 on [0, 1).  Each
-# weight is dr/du / 64.  At |u| = 6, |s| is about 317, so every node and
-# weight is finite, and the end weights are below 1e-130.
+# The exp-sinh double-exponential rule (Takahasi & Mori, Publ. RIMS 9,
+# 1974) on the 769 nodes u = k/64, |u| <= 6: r = exp((pi/2) sinh u) on
+# [0, inf), each weight dr/du / 64.  At |u| = 6 the exponent is about
+# +-317, so every node and weight is finite, and the end weights are
+# below 1e-130.
 _DE_U = np.arange(-384, 385) / 64.0
 _DE_S = 0.5 * math.pi * np.sinh(_DE_U)
 _DE_DS = 0.5 * math.pi * np.cosh(_DE_U) / 64.0
 _EXP_SINH = (np.exp(_DE_S), _DE_DS * np.exp(_DE_S))
-_TANH_SINH = (1.0 / (1.0 + np.exp(-2.0 * _DE_S)), _DE_DS / (2.0 * np.cosh(_DE_S) ** 2))
 
 
-def radial_integrate(profile, n: int, upper: float = math.inf) -> float:
-    """Integral of a radial function over R^n by a double-exponential rule.
+def radial_integrate(profile, n: int) -> float:
+    """Integral of a radial function over R^n by the exp-sinh rule.
 
-    Evaluates integral_0^upper SPHERE_MEASURE[n] * r**(n-1) * profile(r) dr
+    Evaluates integral_0^inf SPHERE_MEASURE[n] * r**(n-1) * profile(r) dr
     where ``profile`` maps an array of radii to an array of values; it is
-    called once, on all 769 nodes.  The rule is exp-sinh for
-    ``upper = inf`` and tanh-sinh on [0, upper] otherwise.  Used for the
-    closed-form radial checks in dimensions 2 and 3, where a full lattice
-    would be wasteful; also available for n = 1.
+    called once, on all 769 nodes.  Used for the closed-form radial checks
+    in dimensions 2 and 3, where a full lattice would be wasteful; also
+    available for n = 1.
 
-    ``upper`` must be positive.  An overflow inside ``profile`` is silent,
-    since an algebraic tail such as the Poisson kernel's overflows its
-    power to inf far out and rightly gives 0 there.  A weighted integrand
-    value that is not finite raises ValueError.  The weighted values are
-    summed exactly, so the result does not depend on their order.
+    An overflow inside ``profile`` is silent, since an algebraic tail such
+    as the Poisson kernel's overflows its power to inf far out and rightly
+    gives 0 there.  A weighted integrand value that is not finite raises
+    ValueError.  The weighted values are summed exactly, so the result
+    does not depend on their order.
     """
     if n not in SPHERE_MEASURE:
         raise ValueError(f"dimension must be 1, 2 or 3, got {n}")
-    if not upper > 0:
-        raise ValueError(f"upper must be positive, got {upper}")
-    if math.isinf(upper):
-        r, weight = _EXP_SINH
-    else:
-        r, weight = upper * _TANH_SINH[0], upper * _TANH_SINH[1]
+    r, weight = _EXP_SINH
     with np.errstate(over="ignore"):
         integrand = SPHERE_MEASURE[n] * r ** (n - 1) * profile(r)
     terms = integrand * weight

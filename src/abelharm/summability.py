@@ -1,16 +1,15 @@
-"""Abel and Gauss means and limit extraction along a scale schedule.
+"""Abel and Gauss means and limit extraction along a fixed scale schedule.
 
 A damped mean integral h(x) K_t(x) dx exists for any bounded h because the
 kernel supplies the integrability; sending the scale t to zero recovers
 the integral of h whenever that converges.  This module computes the means
 on a lattice on the line (or by radial quadrature in dimensions 2 and 3)
-and estimates the limit along a decreasing schedule of scales.
+and estimates the limit along the decreasing scales :data:`SCALES`.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,45 +18,25 @@ from .kernels import _abel_exponent, _gauss_exponent, abel_kernel
 from .sampled import Grid, SampledFunction, _check_scale, _exact_sum, radial_integrate
 
 __all__ = [
-    "Schedule",
+    "SCALES",
     "SummabilityReport",
-    "default_schedule",
     "abel_mean",
     "gauss_mean",
     "abel_mean_radial",
     "summability_verdict",
 ]
 
-
-@dataclass(frozen=True)
-class Schedule:
-    """Strictly decreasing positive scales with a convergence tolerance.
-
-    The limit is estimated by one step of Richardson extrapolation against
-    the leading O(t) error term, which Poisson-type means of smooth
-    functions exhibit.  Means whose error is already O(t^2) lose nothing
-    under the extrapolation.
-    """
-
-    t_values: tuple
-    convergence_tol: float = 1e-3
-
-    def __post_init__(self):
-        ts = tuple(float(t) for t in self.t_values)
-        if len(ts) < 4:
-            raise ValueError(f"schedule needs at least 4 scales, got {len(ts)}")
-        if not all(0 < t < math.inf for t in ts):
-            raise ValueError("all scales must be finite and positive")
-        if any(b >= a for a, b in zip(ts, ts[1:])):
-            raise ValueError("scales must be strictly decreasing")
-        if not 0 < self.convergence_tol < math.inf:
-            raise ValueError("convergence_tol must be finite and positive")
-        object.__setattr__(self, "t_values", ts)
+# The scales of every limit: 0.1 * 0.5**k, k = 0..11.  Twelve halvings
+# from 0.1 reach t ~ 5e-5, deep enough that slowly converging means
+# (Poisson-type tails give errors O(t log t)) settle under the
+# extrapolated estimator.
+SCALES = tuple(0.1 * 0.5 ** k for k in range(12))
+_CONVERGENCE_TOL = 1e-3
 
 
 @dataclass(frozen=True)
 class SummabilityReport:
-    """Means along a schedule plus the extracted limit.
+    """Means along :data:`SCALES` plus the extracted limit.
 
     ``converged`` is a statement about the finite schedule only (the last
     successive difference fell below the tolerance); a False value means
@@ -68,16 +47,6 @@ class SummabilityReport:
     limit_estimate: complex
     converged: bool
     residual: float
-
-
-def default_schedule() -> Schedule:
-    """Geometric schedule 0.1 * 0.5**k, k = 0..11, with tolerance 1e-3.
-
-    Twelve halvings from 0.1 reach t ~ 5e-5, deep enough that slowly
-    converging means (Poisson-type tails give errors O(t log t)) settle
-    under the extrapolated estimator.
-    """
-    return Schedule(tuple(0.1 * 0.5 ** k for k in range(12)))
 
 
 def _span_sum(part: np.ndarray, products: np.ndarray, lo: int, hi: int) -> float:
@@ -143,18 +112,18 @@ def gauss_mean(h: SampledFunction, s: float) -> complex:
     return _weighted_mean(h, lambda r: _gauss_exponent(s, r))
 
 
-def abel_mean_radial(profile, n: int, t: float, upper: float = math.inf) -> float:
+def abel_mean_radial(profile, n: int, t: float) -> float:
     """Damped mean of a radially symmetric closed-form function.
 
-    The double-exponential rule of ``radial_integrate`` applied to
-    omega_{n-1} r^{n-1} profile(r) exp(-2 pi t r) on [0, upper]; the route
+    The exp-sinh rule of ``radial_integrate`` applied to
+    omega_{n-1} r^{n-1} profile(r) exp(-2 pi t r) on [0, inf); the route
     of choice in dimensions 2 and 3, where a full lattice would cost
     points**n samples for a one-number answer.  ``profile`` is called once,
-    on the array of the rule's radii.  ``upper`` must be positive, and a
-    weighted integrand value that is not finite raises ValueError.
+    on the array of the rule's radii.  A weighted integrand value that is
+    not finite raises ValueError.
     """
     _check_scale(t)
-    return radial_integrate(lambda r: profile(r) * abel_kernel(t, r), n, upper)
+    return radial_integrate(lambda r: profile(r) * abel_kernel(t, r), n)
 
 
 def _extrapolate(ts, means):
@@ -171,8 +140,13 @@ def _extrapolate(ts, means):
     return out
 
 
-def summability_verdict(h: SampledFunction, kind: str, schedule: Schedule) -> SummabilityReport:
-    """Means along the schedule plus a limit estimate and convergence flag.
+def summability_verdict(h: SampledFunction, kind: str) -> SummabilityReport:
+    """Means along :data:`SCALES` plus a limit estimate and convergence flag.
+
+    The limit is estimated by one step of Richardson extrapolation against
+    the leading O(t) error term, which Poisson-type means of smooth
+    functions exhibit.  Means whose error is already O(t^2) lose nothing
+    under the extrapolation.
 
     Parameters
     ----------
@@ -181,14 +155,12 @@ def summability_verdict(h: SampledFunction, kind: str, schedule: Schedule) -> Su
         supplies the integrability.
     kind : {"abel", "gauss"}
         Damping family.
-    schedule : Schedule
-        Scales and tolerance.
 
     Returns
     -------
     SummabilityReport
         ``converged`` is True when the last successive difference of the
-        estimator sequence is at most the schedule tolerance.
+        estimator sequence is at most 1e-3.
     """
     if kind == "abel":
         mean = abel_mean
@@ -196,14 +168,13 @@ def summability_verdict(h: SampledFunction, kind: str, schedule: Schedule) -> Su
         mean = gauss_mean
     else:
         raise ValueError(f"kind must be 'abel' or 'gauss', got {kind!r}")
-    ts = schedule.t_values
-    means = np.array([mean(h, t) for t in ts], dtype=complex)
-    sequence = _extrapolate(ts, list(means))
+    means = np.array([mean(h, t) for t in SCALES], dtype=complex)
+    sequence = _extrapolate(SCALES, list(means))
     limit = complex(sequence[-1])
     residual = abs(sequence[-1] - sequence[-2])
     return SummabilityReport(
         means=means,
         limit_estimate=limit,
-        converged=bool(residual <= schedule.convergence_tol),
+        converged=bool(residual <= _CONVERGENCE_TOL),
         residual=float(residual),
     )

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import abelharm
-from abelharm import Schedule, SupportSpec, cli, default_schedule, evaluate_field, make_grid, sample_spectrum
+from abelharm import SupportSpec, cli, evaluate_field, make_grid, sample_spectrum, summability
 from abelharm.cli import (
     CheckResult,
     ConfigError,
@@ -229,11 +229,10 @@ def test_criterion_fifteen_reads_the_verdict_of_its_member():
 
 
 def test_unconverged_means_fail_criterion_six_through_their_checks(tmp_path, monkeypatch):
-    # no schedule converges to 1e-300: the limit errors stay inside their
+    # no limit converges to 1e-300: the limit errors stay inside their
     # gate, so it is the convergence condition that fails the abel_limit
     # checks, and through them criterion 6
-    monkeypatch.setattr(cli, "default_schedule",
-                        lambda: Schedule(default_schedule().t_values, convergence_tol=1e-300))
+    monkeypatch.setattr(summability, "_CONVERGENCE_TOL", 1e-300)
     bundle = run(ExperimentConfig(suite="summability", output_dir=str(tmp_path)))
     limits = [c for c in bundle.checks if c.name.startswith("abel_limit")]
     assert len(limits) == 3

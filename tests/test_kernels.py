@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from abelharm import (
     KernelSpec,
@@ -95,6 +96,9 @@ _PEAK = 1.0 / (2.0 * math.pi) / 1e308
     (lambda: half_kernel_ft("+", 1.0, 1e308), -1.0j * _PEAK),
     (lambda: half_kernel_ft("-", 1.0, np.array([0.5, -1e308])),
      np.array([1.0 / (2.0 * math.pi * (1.0 - 0.5j)), -1.0j * _PEAK])),
+    # 2 pi (t + i xi) is finite, but numpy's division by it overflows
+    (lambda: half_kernel_ft("+", 1.4305587428785142e307, 1.4305587428785142e307),
+     (0.25 / math.pi) / 1.4305587428785142e307 * (1.0 - 1.0j)),
     # r^2 overflows: the kernel underflows to 0, or, scaled by max(t, |r|),
     # keeps a value that squaring both would round to 0
     (lambda: poisson_kernel(1, 1.0, np.array([0.0, 1e200])), np.array([1.0 / math.pi, 0.0])),
@@ -104,6 +108,7 @@ _PEAK = 1.0 / (2.0 * math.pi) / 1e308
 ], ids=["half_kernel_ft_huge_scale", "half_kernel_ft_huge_scale_and_point",
         "abel_from_gaussians_huge_scale_at_origin", "abel_from_gaussians_huge_exponent",
         "half_kernel_ft_huge_point_plus", "half_kernel_ft_huge_point_minus",
+        "half_kernel_ft_huge_divisor",
         "poisson_kernel_huge_point", "poisson_kernel_huge_scale_and_point",
         "poisson_kernel_huge_point_dimension_3"])
 def test_kernels_at_extreme_scales_return_finite_values(value, want):
@@ -206,6 +211,14 @@ def test_gaussian_average_budget_guard():
         abel_from_gaussians(1.0, 0.5, u_max=math.inf)
 
 
+def test_gaussian_average_refuses_points_near_the_origin_at_its_default_nodes():
+    # the default nodes do not resolve the layer near v = sqrt(pi t |x|);
+    # more nodes do, for this point
+    with pytest.raises(QuadratureBudgetError):
+        abel_from_gaussians(1.0, 1e-3)
+    assert abel_from_gaussians(1.0, 1e-3, M=65536) == pytest.approx(abel_kernel(1.0, 1e-3), abs=1e-10)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_gaussian_average_rejects_non_finite_points(bad):
     with pytest.raises(ValueError, match="finite"):
@@ -216,3 +229,31 @@ def test_kernel_value_dispatch():
     x = np.array([0.0, 1.0, -1.0])
     spec = KernelSpec("poisson", 1.0, 1)
     assert np.allclose(kernel_value(spec, x), poisson_kernel(1, 1.0, x))
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+# every closed form over the whole finite float range, subnormals
+# included: a finite value or a refusal, never a warning, inf or NaN
+@pytest.mark.filterwarnings("error")
+@given(t=_FINITE, x=st.lists(_FINITE, min_size=1, max_size=3),
+       n=st.sampled_from([1, 2, 3]), sign=st.sampled_from(["+", "-"]))
+def test_closed_forms_over_the_float_range_are_finite_or_refused(t, x, n, sign):
+    x = np.array(x)
+    calls = [
+        (lambda: abel_kernel(t, x), ValueError),
+        (lambda: gauss_kernel(t, x), ValueError),
+        (lambda: poisson_kernel(n, t, x), ValueError),
+        (lambda: abel_ft(n, t, x), ValueError),
+        (lambda: half_kernel(sign, t, x), ValueError),
+        (lambda: half_kernel_ft(sign, t, x), ValueError),
+        (lambda: abel_from_gaussians(t, x), (ValueError, QuadratureBudgetError)),
+    ] + [(lambda family=family: kernel_value(KernelSpec(family, t), x), ValueError)
+         for family in ("abel", "gauss", "poisson", "abel_plus", "abel_minus")]
+    for call, refusals in calls:
+        try:
+            value = call()
+        except refusals:
+            continue
+        assert np.all(np.isfinite(value))

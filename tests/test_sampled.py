@@ -302,13 +302,6 @@ def test_radial_rule_gives_unit_masses(n):
         assert abs(mass - 1.0) <= 2.3e-16
 
 
-def test_radial_rule_on_a_finite_range():
-    # tanh-sinh on [0, a]: the Gaussian's mass in [-a, a] is erf(sqrt(pi) a)
-    for a in (0.5, 1.0, 3.0):
-        box = radial_integrate(lambda r: np.exp(-math.pi * r * r), 1, upper=a)
-        assert abs(box - math.erf(math.sqrt(math.pi) * a)) <= 2.3e-16
-
-
 def test_radial_rule_calls_the_profile_once_on_an_array():
     calls = []
 
@@ -327,17 +320,10 @@ def test_radial_rule_overflow_in_the_tail_is_silent():
         assert abs(radial_integrate(lambda r: poisson_kernel(3, 0.1, r), 3) - 1.0) <= 2.3e-16
 
 
-@pytest.mark.parametrize("upper", [math.nan, 0.0, -1.0, -math.inf])
-def test_radial_integrate_rejects_a_non_positive_upper_bound(upper):
-    with pytest.raises(ValueError, match="positive"):
-        radial_integrate(lambda r: np.exp(-r), 1, upper=upper)
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-@pytest.mark.parametrize("upper", [1.0, math.inf])
-def test_radial_integrate_rejects_a_non_finite_integrand(bad, upper):
+def test_radial_integrate_rejects_a_non_finite_integrand(bad):
     with pytest.raises(ValueError, match="finite"):
-        radial_integrate(lambda r: np.where(r < 0.5, bad, 1.0), 1, upper=upper)
+        radial_integrate(lambda r: np.where(r < 0.5, bad, 1.0), 1)
 
 
 # --- exact summation ------------------------------------------------------
@@ -429,7 +415,7 @@ def test_exact_sum_ties_and_zeros(xs):
 def _blockwise_cases(rng, block):
     # zero and -0.0 blocks between nonzero blocks, with and without a
     # nonzero total; one exponent over more than four blocks, where every
-    # lane of every block shares its bucket
+    # addend of every block shares its bucket
     gaps = rng.standard_normal(7 * block + 3)
     gaps[block:3 * block] = 0.0
     gaps[4 * block:5 * block] = -0.0
@@ -450,7 +436,7 @@ def _smooth_cases(block):
             np.exp(-40.0 * u) * np.cos(300.0 * u)]
 
 
-# block lengths 3, 5, 1 and 6 are not multiples of the lane count
+# chunk lengths that are and are not multiples of the block length
 @pytest.mark.parametrize("chunk, block", [(7, 3), (5, 5), (16, 4), (1, 1), (40, 6)])
 def test_exact_sum_across_chunk_and_block_boundaries(monkeypatch, chunk, block):
     monkeypatch.setattr(sampled, "_CHUNK", chunk)
