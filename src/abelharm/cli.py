@@ -465,24 +465,25 @@ def _run_hardy():
     space = make_grid(1, 65536.0, 2 ** 21)
     freq = space.reciprocal()
     w_exp = sample_spectrum(freq, lambda xi: np.exp(-2.0 * math.pi * xi), SupportSpec.nonneg())
-    f_exp = inverse_ft(w_exp)
     p1 = sample_kernel(space, KernelSpec("poisson", 1.0, 1))
     F_p1 = forward_ft(p1)
     w_pois = project_spectrum(F_p1, SupportSpec.nonneg())
-    f_pois = inverse_ft(w_pois)
-    # no name holds these samples, so their spectrum, which forward_ft
-    # keeps with them, is freed once they are split
-    w_gauss, _ = hardy_split(sample_function(space, lambda x: np.exp(-math.pi * x * x)))
-    f_gauss = inverse_ft(w_gauss)
 
-    # three representations of the same extension
+    # three representations of the same extension; a witness's space
+    # function serves its Cauchy oracle only and is deleted after the
+    # witness's checks, so that no two are alive at once
     agree_rows = []
     xq = np.linspace(-2.0, 2.0, 25)
-    for name, F, f_space in (
-        ("exp_halfline", w_exp, f_exp),
-        ("poisson_plus", w_pois, f_pois),
-        ("gauss_plus", w_gauss, f_gauss),
+    for name, F in (
+        ("exp_halfline", w_exp),
+        ("poisson_plus", w_pois),
+        # no name holds the Gaussian's samples: forward_ft keeps their
+        # spectrum with them, and that 32 MiB would outlive the projection
+        ("gauss_plus", project_spectrum(
+            forward_ft(sample_function(space, lambda x: np.exp(-math.pi * x * x))),
+            SupportSpec.nonneg())),
     ):
+        f_space = inverse_ft(F)
         witness_worst = 0.0
         for t in (0.25, 0.5, 1.0):
             es = evaluate_upper(F, xq + 1j * t)
@@ -495,6 +496,7 @@ def _run_hardy():
             agree_rows += [(name, t, *row) for row in zip(xq, d_sa, d_sc, d_ac)]
         checks.append(_check(f"representation_agreement witness={name}", witness_worst, 1e-5,
                              "spectral vs damped-inverse vs Cauchy convolution, pairwise"))
+        del f_space
     tables["hardy/agreement.csv"] = (
         ("witness", "t", "x", "spectral_vs_damped", "spectral_vs_cauchy", "damped_vs_cauchy"), agree_rows)
 
@@ -533,8 +535,8 @@ def _run_hardy():
     )
 
     # mirror side
-    w_exp_low = sample_spectrum(freq, lambda xi: np.exp(2.0 * math.pi * xi), SupportSpec.nonpos())
-    mirror = evaluate_lower(w_exp_low, -1j)
+    mirror = evaluate_lower(
+        sample_spectrum(freq, lambda xi: np.exp(2.0 * math.pi * xi), SupportSpec.nonpos()), -1j)
     mirror_err = abs(mirror - 1.0 / (4.0 * math.pi))
     checks.append(_check("lower_half_plane_mirror", mirror_err, 1e-8,
                          "reflected exponential spectrum evaluated at -i"))

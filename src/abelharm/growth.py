@@ -90,9 +90,8 @@ def estimate_type(F: Spectrum, y_samples) -> float:
     decayed the most; an unweighted fit is biased low by roughly
     d(log y)/dy at the small end of the sample.
 
-    If a sample lands on a zero of |f| the heights are deterministically
-    jittered and the fit retried.  Heights at which |f| overflows raise
-    OverflowError.
+    Heights at which |f| vanishes, leaving the fit undefined, raise
+    ValueError, and heights at which it overflows OverflowError.
     """
     ys = np.asarray(y_samples, dtype=float)
     if ys.size < 3:
@@ -101,23 +100,21 @@ def estimate_type(F: Spectrum, y_samples) -> float:
         raise ValueError("height samples must be strictly increasing")
     if ys[-1] < 2.0:
         raise ValueError("largest height sample must be at least 2")
-    for attempt in range(6):
-        y_try = ys * (1.0 + 1e-4 * attempt)
-        up = np.abs(evaluate_entire(F, 1j * y_try))
-        down = np.abs(evaluate_entire(F, -1j * y_try))
-        m = np.maximum(up, down)
-        # the modulus of a finite value can still overflow
-        if not np.all(np.isfinite(m)):
-            raise OverflowError(f"|f| overflows at heights {y_try[~np.isfinite(m)].tolist()}")
-        if np.all(m > 0.0):
-            logs = np.log(m)
-            w = y_try ** 2
-            ybar = np.sum(w * y_try) / np.sum(w)
-            lbar = np.sum(w * logs) / np.sum(w)
-            num = np.sum(w * (y_try - ybar) * (logs - lbar))
-            den = np.sum(w * (y_try - ybar) ** 2)
-            return float(num / den)
-    raise ValueError("field vanishes at every jittered sample; type undefined")
+    up = np.abs(evaluate_entire(F, 1j * ys))
+    down = np.abs(evaluate_entire(F, -1j * ys))
+    m = np.maximum(up, down)
+    # the modulus of a finite value can still overflow
+    if not np.all(np.isfinite(m)):
+        raise OverflowError(f"|f| overflows at heights {ys[~np.isfinite(m)].tolist()}")
+    if not np.all(m > 0.0):
+        raise ValueError(f"|f| vanishes at heights {ys[m == 0.0].tolist()}; type undefined")
+    logs = np.log(m)
+    w = ys ** 2
+    ybar = np.sum(w * ys) / np.sum(w)
+    lbar = np.sum(w * logs) / np.sum(w)
+    num = np.sum(w * (ys - ybar) * (logs - lbar))
+    den = np.sum(w * (ys - ybar) ** 2)
+    return float(num / den)
 
 
 def check_pl_bound(F: Spectrum, sigma: float, B: float, lattice) -> float:

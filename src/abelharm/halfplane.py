@@ -41,7 +41,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HalfPlaneField:
-    """Function values on a rectangle of half-plane points.
+    """Function values on a rectangle of points in a closed half-plane.
 
     ``values[i, j]`` is the value at x_lattice[j] + 1j * y_lattice[i].
     """
@@ -57,10 +57,10 @@ class HalfPlaneField:
         vals = np.asarray(self.values, dtype=complex)
         if self.side not in ("upper", "lower"):
             raise ValueError(f"side must be 'upper' or 'lower', got {self.side!r}")
-        if self.side == "upper" and not np.all(ys > 0):
-            raise ValueError("upper field requires all heights strictly positive")
-        if self.side == "lower" and not np.all(ys < 0):
-            raise ValueError("lower field requires all heights strictly negative")
+        if self.side == "upper" and not np.all(ys >= 0):
+            raise ValueError("upper field requires all heights nonnegative")
+        if self.side == "lower" and not np.all(ys <= 0):
+            raise ValueError("lower field requires all heights nonpositive")
         if vals.shape != (ys.size, xs.size):
             raise ValueError(
                 f"values must have shape ({ys.size}, {xs.size}), got {vals.shape}"
@@ -139,7 +139,7 @@ def evaluate_lower(F: Spectrum, z):
 
 
 def evaluate_field(F: Spectrum, x_values, y_values) -> HalfPlaneField:
-    """Evaluate a one-sided spectrum on a rectangle of half-plane points.
+    """Evaluate a one-sided spectrum on a rectangle of points in its closed half-plane.
 
     The whole rectangle goes to the kernel in one call.
     """

@@ -10,7 +10,6 @@ and 3 enter only through radial closed forms and ``radial_integrate``.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -137,11 +136,6 @@ class SampledFunction:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
-    @functools.cached_property
-    def _span(self) -> tuple[int, int]:
-        """``_nonzero_span(values)``, found once: the samples are read-only."""
-        return _nonzero_span(self.values)
-
     def _derived(self, key, build):
         """``build()``, computed once per ``key`` and kept as long as the samples.
 
@@ -153,21 +147,6 @@ class SampledFunction:
         if key not in memo:
             memo[key] = build()
         return memo[key]
-
-
-def _nonzero_span(vals: np.ndarray) -> tuple[int, int]:
-    """The index range [lo, hi) outside which every sample is zero.
-
-    O(1) when both end samples are nonzero; otherwise one pass for the
-    nonzero mask.  All-zero samples give the empty range (0, 0).
-    """
-    if vals[0] != 0 and vals[-1] != 0:
-        return 0, vals.size
-    nonzero = vals != 0
-    lo = int(nonzero.argmax())
-    if not nonzero[lo]:
-        return 0, 0
-    return lo, vals.size - int(nonzero[::-1].argmax())
 
 
 def _adopt(cls, values: np.ndarray, **fields):

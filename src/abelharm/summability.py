@@ -49,6 +49,21 @@ class SummabilityReport:
     residual: float
 
 
+def _nonzero_span(vals: np.ndarray) -> tuple[int, int]:
+    """The index range [lo, hi) outside which every sample is zero.
+
+    O(1) when both end samples are nonzero; otherwise one pass for the
+    nonzero mask.  All-zero samples give the empty range (0, 0).
+    """
+    if vals[0] != 0 and vals[-1] != 0:
+        return 0, vals.size
+    nonzero = vals != 0
+    lo = int(nonzero.argmax())
+    if not nonzero[lo]:
+        return 0, 0
+    return lo, vals.size - int(nonzero[::-1].argmax())
+
+
 def _span_sum(part: np.ndarray, products: np.ndarray, lo: int, hi: int) -> float:
     """Exact sum over the lattice of part times finite nonnegative weights.
 
@@ -75,11 +90,11 @@ def _weighted_mean(h: SampledFunction, exponent) -> complex:
     and zero addends do not change them: only the span where the samples
     are nonzero is weighted, multiplied and summed, and the result has the
     bits of the full-length sum.  The span is found once per sample array
-    (``SampledFunction._span``), not once per mean.  Real samples have no
+    and kept with it, not once per mean.  Real samples have no
     imaginary part; the sum of its zeros would be +0.0.
     """
     vals = h.values
-    lo, hi = h._span
+    lo, hi = h._derived("span", lambda: _nonzero_span(vals))
     weights = exponent(_radii(h.grid)[lo:hi])
     np.exp(weights, out=weights)
     im = 0.0

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 from dataclasses import fields
 
@@ -242,6 +243,19 @@ def test_unconverged_means_fail_criterion_six_through_their_checks(tmp_path, mon
     assert criteria[6].verdict == "fail"
     assert bundle.failed == len(limits)
     assert "result: FAIL" in bundle.summary_text
+
+
+def test_hardy_suite_holds_each_witness_only_while_its_checks_run():
+    # the suite's 2**21-point arrays take 16-32 MiB each; with every one
+    # named to the end of the suite, the traced peak was 410 MiB, and
+    # freeing each after its last check brings it near 220 MiB
+    tracemalloc.start()
+    try:
+        cli._run_hardy()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 300 * 2 ** 20
 
 
 # an import of scipy raises once sys.modules maps it to None

@@ -103,6 +103,19 @@ def test_estimate_type_validation(flat_band):
         estimate_type(flat_band, (0.5, 1.0, 1.5))  # top height too small
 
 
+def test_estimate_type_names_the_heights_where_f_vanishes(monkeypatch):
+    # the zero field vanishes at every height, however they are moved: one
+    # evaluation per direction, then a refusal
+    zero = sample_spectrum(make_grid(1, 2.0, 256), lambda xi: np.zeros_like(xi),
+                           SupportSpec.interval(-1.0, 1.0))
+    calls = []
+    monkeypatch.setattr(growth, "evaluate_entire",
+                        lambda F, z: calls.append(z) or evaluate_entire(F, z))
+    with pytest.raises(ValueError, match=r"vanishes at heights \[2\.0, 3\.0, 4\.0\]"):
+        estimate_type(zero, (2.0, 3.0, 4.0))
+    assert len(calls) == 2
+
+
 def test_estimate_type_names_the_heights_where_f_overflows(flat_band):
     # f(iy) overflows from height 113 on; that is no zero of f
     with pytest.raises(OverflowError, match=r"z = \[120j\]"):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from abelharm import (
+    HalfPlaneField,
     SampledFunction,
     SupportSpec,
     cauchy_represent,
@@ -95,6 +96,22 @@ def test_evaluate_field_layout(small_upper_spectrum):
     assert fld.side == "upper"
     single = evaluate_upper(small_upper_spectrum, xs[3] + 1j * ys[1])
     assert fld.values[1, 3] == single
+
+
+def test_evaluate_field_reaches_the_axis(small_upper_spectrum):
+    # the field takes the closed half-plane its evaluators accept
+    xs = np.array([-1.0, 0.0, 0.5, 1.0])
+    fld = evaluate_field(small_upper_spectrum, xs, [0.0, 0.5])
+    assert fld.values[0].tobytes() == evaluate_upper(small_upper_spectrum, xs).tobytes()
+    low = sample_spectrum(small_upper_spectrum.grid, lambda xi: np.exp(2.0 * math.pi * xi),
+                          SupportSpec.nonpos())
+    fld = evaluate_field(low, xs, [-0.5, 0.0])
+    assert fld.values[1].tobytes() == evaluate_lower(low, xs).tobytes()
+    # a height below the axis is still outside an upper field
+    with pytest.raises(ValueError, match="upper half-plane"):
+        evaluate_field(small_upper_spectrum, xs, [-0.5, 0.0])
+    with pytest.raises(ValueError, match="upper field requires all heights nonnegative"):
+        HalfPlaneField(xs, np.array([0.0, -0.5]), np.zeros((2, 4)), "upper")
 
 
 def test_cauchy_kernel_lattice_mass_is_half():

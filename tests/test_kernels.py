@@ -232,15 +232,34 @@ def test_kernel_value_dispatch():
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# the scales where an intermediate of a closed form leaves the float
+# range: 2 pi t overflows past 2**1023/pi, numpy's complex division by
+# 2 pi (t +- i xi) overflows once a part reaches 2**1023, and the
+# Gaussian's pi t**2 reaches 2**1023 at sqrt(2**1023/pi)
+_EDGES = (2.0 ** 1023 / math.pi, 2.0 ** 1023 / (2.0 * math.pi), math.sqrt(2.0 ** 1023 / math.pi))
+
+
+@st.composite
+def _scales_and_points(draw):
+    """A scale and 1 to 3 points: from the whole finite range, or near an edge.
+
+    A scale near an edge is one of ``_EDGES`` times a factor in [1/8, 2];
+    a point on the scale is t * u, u in [-4, 4], kept where finite.  Both
+    are needed to reach, say, 2 pi (t + i xi) with both parts near 2**1023.
+    """
+    t = draw(st.one_of(_FINITE, st.builds(lambda e, c: e * c, st.sampled_from(_EDGES),
+                                          st.floats(0.125, 2.0))))
+    on_scale = st.floats(-4.0, 4.0).map(lambda u: t * u).filter(math.isfinite)
+    return t, draw(st.lists(st.one_of(_FINITE, on_scale), min_size=1, max_size=3))
 
 
 # every closed form over the whole finite float range, subnormals
-# included: a finite value or a refusal, never a warning, inf or NaN
+# included, and near its overflow edges: a finite value or a refusal,
+# never a warning, inf or NaN
 @pytest.mark.filterwarnings("error")
-@given(t=_FINITE, x=st.lists(_FINITE, min_size=1, max_size=3),
-       n=st.sampled_from([1, 2, 3]), sign=st.sampled_from(["+", "-"]))
-def test_closed_forms_over_the_float_range_are_finite_or_refused(t, x, n, sign):
-    x = np.array(x)
+@given(tx=_scales_and_points(), n=st.sampled_from([1, 2, 3]), sign=st.sampled_from(["+", "-"]))
+def test_closed_forms_over_the_float_range_are_finite_or_refused(tx, n, sign):
+    t, x = tx[0], np.array(tx[1])
     calls = [
         (lambda: abel_kernel(t, x), ValueError),
         (lambda: gauss_kernel(t, x), ValueError),

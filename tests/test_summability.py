@@ -17,7 +17,7 @@ from abelharm import (
     sample_kernel,
     summability_verdict,
 )
-from abelharm import sampled
+from abelharm import summability
 from abelharm.summability import _extrapolate, _radii
 
 
@@ -110,13 +110,13 @@ def test_verdict_means_are_the_single_means_bit_for_bit(kind, mean):
 
 
 def test_nonzero_span_is_found_once_per_sample_array(monkeypatch):
-    calls, span = [], sampled._nonzero_span
+    calls, span = [], summability._nonzero_span
 
     def counting(vals):
         calls.append(vals)
         return span(vals)
 
-    monkeypatch.setattr(sampled, "_nonzero_span", counting)
+    monkeypatch.setattr(summability, "_nonzero_span", counting)
     witnesses = _span_witnesses()
     for h in witnesses:
         for kind in ("abel", "gauss"):
@@ -124,8 +124,10 @@ def test_nonzero_span_is_found_once_per_sample_array(monkeypatch):
         abel_mean(h, 0.5)
     assert len(calls) == len(witnesses)
     assert all(c is h.values for c, h in zip(calls, witnesses))
-    # the Gaussian's span is trimmed, the Poisson kernel's is the lattice
-    assert witnesses[0]._span != (0, 4096) and witnesses[1]._span == (0, 4096)
+    # kept in each array's memo: the Gaussian's span is trimmed, the
+    # Poisson kernel's is the lattice
+    spans = [h._derived("span", lambda: pytest.fail("span not kept")) for h in witnesses]
+    assert spans[0] != (0, 4096) and spans[1] == (0, 4096)
 
 
 def test_radial_means_match_lattice_means():
