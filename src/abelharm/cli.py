@@ -66,6 +66,7 @@ from .kernels import (
 from .sampled import integrate, convolve, make_grid, radial_integrate, sample_function
 from .spectral import (
     SupportSpec,
+    _support_range,
     abel_regularized_inverse,
     forward_ft,
     inverse_ft,
@@ -226,6 +227,11 @@ def _g(x: float) -> str:
 # suites
 
 
+def _window(grid, half_width: float):
+    """Index range of the lattice points with |x| <= half_width, as a mask would select them."""
+    return _support_range(grid, SupportSpec.interval(-half_width, half_width))
+
+
 def _transform_error(grid, family: str, closed_form):
     """Lattice transform of the unit 1-D kernel of ``family`` against its closed form.
 
@@ -233,10 +239,10 @@ def _transform_error(grid, family: str, closed_form):
     closed form on them, and the largest error in the window.
     """
     F = forward_ft(sample_kernel(grid, KernelSpec(family, 1.0, 1)))
-    xi = F.grid.axis()
-    win = np.abs(xi) <= 4.0
-    lattice, exact = F.values[win], closed_form(xi[win])
-    return xi[win], lattice, exact, float(np.max(np.abs(lattice - exact)))
+    start, stop = _window(F.grid, 4.0)
+    xi = F.grid._axis_range(start, stop)
+    lattice, exact = F.values[start:stop], closed_form(xi)
+    return xi, lattice, exact, float(np.max(np.abs(lattice - exact)))
 
 
 def _run_kernels():
@@ -322,9 +328,8 @@ def _run_kernels():
     grid_semi = make_grid(1, 200.0, 2 ** 16)
     p1 = sample_kernel(grid_semi, KernelSpec("poisson", 1.0, 1))
     conv = convolve(p1, p1)
-    x_semi = grid_semi.axis()
-    win_s = np.abs(x_semi) <= 10.0
-    xs, cs = x_semi[win_s], conv.values[win_s]
+    start, stop = _window(grid_semi, 10.0)
+    xs, cs = grid_semi._axis_range(start, stop), conv.values[start:stop]
     target = poisson_kernel(1, 2.0, xs)
     rel = np.abs(cs - target) / target
     checks.append(_check("poisson_semigroup", float(np.max(rel)), 1e-4,
@@ -606,9 +611,8 @@ def _run_growth():
     # envelope domination on the whole lattice, per spectrum
     for label, F in spectra:
         rows = []
-        for y in ys:
+        for y, vals in zip(ys, np.abs(evaluate_entire(F, xs + 1j * ys[:, None]))):
             env = envelope_bound(F, float(y))
-            vals = np.abs(evaluate_entire(F, xs + 1j * y))
             rows += [(x, y, v, env, float(v / env) - 1.0) for x, v in zip(xs, vals)]
         tables[f"growth/lattice_{label}.csv"] = (("x", "y", "abs_f", "envelope", "margin"), rows)
         checks.append(_check(f"envelope_dominates support={label}", max(r[4] for r in rows), 1e-8,

@@ -16,7 +16,8 @@ makes the half-line splitting downstream an exact partition.
 Every off-lattice evaluation of a spectrum (half-plane, damped and entire
 extensions) sums exactly the lattice points of its declared support,
 one contiguous range of frequencies, by a block-factored kernel
-(:func:`lattice_sum`).
+(:func:`lattice_sum`).  The one exception is a scan of evenly spaced
+real points, which is a chirp-z transform (:func:`_chirp_scan`).
 """
 
 from __future__ import annotations
@@ -372,6 +373,107 @@ def lattice_sum(F: Spectrum, z):
     OverflowError.
     """
     return _slice_sum(F, *_support_range(F.grid, F.support), z)
+
+
+# longest transform of the chirp-z scan: every index that enters a phase
+# product stays below 2**17, so its square stays below 2**34, and no array
+# grows past the 2**20-entry factor tables of the factored kernel
+_CHIRP_LENGTH = 1 << 17
+
+
+def _pieces(c: float) -> list:
+    """``c`` as at most three floats of at most 19 significant bits, summing to it exactly."""
+    pieces = []
+    while c:
+        mantissa, exponent = math.frexp(c)
+        top = math.ldexp(math.trunc(math.ldexp(mantissa, 19)), exponent - 19)
+        pieces.append(top)
+        c -= top
+    return pieces
+
+
+def _turns(c: "Fraction", n: np.ndarray) -> np.ndarray:
+    """c n modulo one, in [0, 1), for integers 0 <= n < 2**34.
+
+    ``c`` is reduced modulo one exactly, and its float part cut by
+    :func:`_pieces` so that each piece times n is exact; each product is
+    reduced exactly (x - floor(x) is exact for a float x).  Only the sum
+    of the reduced parts and the product of n with c's rest below half an
+    ulp round: the error is a few units of 2**-53 whatever the size of c n.
+    """
+    from fractions import Fraction
+
+    c %= 1
+    hi = float(c)
+    t = float(c - Fraction(hi)) * n
+    for piece in _pieces(hi):
+        p = piece * n
+        t += p - np.floor(p)
+    return t - np.floor(t)
+
+
+def _chirp_scan(F: Spectrum, x0: float, step: float, count: int,
+                length: int = _CHIRP_LENGTH) -> np.ndarray:
+    """``lattice_sum(F, x)`` at the real points x_m = x0 + m step, m < count, by chirp-z.
+
+    With x_m xi_k = (x0 + m s)(xi0 + k h) and mk = (m^2 + k^2 - (m - k)^2)/2,
+    the sum is a convolution of chirped weights with the chirp
+    exp(-pi i s h n^2): Bluestein's chirp-z transform (Rabiner, Schafer &
+    Rader 1969), three FFTs instead of count * N terms.  The lattice is
+    xi0 + k h exactly, as in the factored kernel, and x_m is x0 + m step
+    exactly.  Every phase is a product of an exact rational coefficient
+    with an integer index below 2**34, reduced modulo one by
+    :func:`_turns`, so no phase loses accuracy however large x_m xi_k is.
+    The points come in chunks and the weights in blocks, so that the FFT
+    length is at most ``length``.
+
+    The result agrees with :func:`lattice_sum` at the same points to
+    within 1e-13 * spacing * sum |F| where the latter's own rounding,
+    which grows with |x xi|, is below that (the property tests' bound;
+    measured at most 2.7e-15 against a mass of 2.0 on the growth suite's
+    spectra).
+    """
+    # imported here and in _turns, not with the module: fractions, and
+    # decimal with it, would add a few ms to every process that imports
+    # abelharm, and most never scan
+    from fractions import Fraction
+
+    g = F.grid
+    start, stop = _support_range(g, F.support)
+    weights = F.values[start:stop]
+    out = np.zeros(count, dtype=complex)
+    if count == 0 or weights.size == 0:
+        return out
+    block = min(weights.size, length // 2)
+    size = min(length, 1 << (block + count - 2).bit_length())
+    span = size - block + 1
+    x_first, s, h = Fraction(x0), Fraction(step), Fraction(g.spacing)
+    xi_first = Fraction(-g.half_width + g.spacing * start)
+    half = s * h / 2
+    # exp(-2 pi i (s h / 2) n^2) for the offsets n of the convolution
+    chirp = np.exp(-2j * math.pi * _turns(half, np.arange(max(span, block)) ** 2))
+    unchirp = np.conjugate(chirp)
+    kernel = np.empty(size, dtype=complex)
+    kernel[:span] = chirp[:span]
+    kernel[span:] = chirp[block - 1 : 0 : -1]
+    np.fft.fft(kernel, out=kernel)
+    buf = np.empty(size, dtype=complex)
+    for k0 in range(0, weights.size, block):
+        part = weights[k0 : k0 + block]
+        xi = xi_first + k0 * h
+        for m0 in range(0, count, span):
+            x = x_first + m0 * s
+            rows = min(span, count - m0)
+            turns = _turns(x * h, np.arange(part.size))
+            buf[: part.size] = part * unchirp[: part.size] * np.exp(2j * math.pi * turns)
+            buf[part.size :] = 0.0
+            np.fft.fft(buf, out=buf)
+            buf *= kernel
+            np.fft.ifft(buf, out=buf)
+            turns = _turns(s * xi, np.arange(rows)) + float((x * xi) % 1)
+            out[m0 : m0 + rows] += buf[:rows] * unchirp[:rows] * np.exp(2j * math.pi * turns)
+    out *= g.spacing
+    return out
 
 
 def abel_regularized_inverse(F: Spectrum, t: float, x):

@@ -20,6 +20,7 @@ from abelharm.cli import (
     _criteria,
     _field_table,
     _render_table,
+    _window,
     main,
     run,
 )
@@ -278,3 +279,20 @@ def test_radial_suites_run_without_scipy(tmp_path, suite):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert res.returncode == 0, res.stderr + res.stdout[-2000:]
+
+
+# the pinned windows of the kernels suite: |xi| <= 4 on the frequency
+# grids of the transform identities, |x| <= 10 on the semigroup's grid
+@pytest.mark.parametrize("grid, half_width", [
+    (make_grid(1, 40.0, 2 ** 14).reciprocal(), 4.0),
+    (make_grid(1, 40.0, 2 ** 17).reciprocal(), 4.0),
+    (make_grid(1, 40.0, 2 ** 20).reciprocal(), 4.0),
+    (make_grid(1, 200.0, 2 ** 16), 10.0),
+])
+def test_windows_by_index_select_what_the_mask_selects(grid, half_width):
+    axis = grid.axis()
+    mask = np.abs(axis) <= half_width
+    start, stop = _window(grid, half_width)
+    # the same indices, so the same values of any array on the grid
+    assert np.array_equal(np.arange(start, stop), np.flatnonzero(mask))
+    assert grid._axis_range(start, stop).tobytes() == axis[mask].tobytes()

@@ -3,8 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from abelharm import (
+    Spectrum,
     SupportSpec,
     check_pl_bound,
     envelope_bound,
@@ -15,6 +17,7 @@ from abelharm import (
     measure_real_bound,
     sample_spectrum,
 )
+from abelharm.spectral import _support_range
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +90,16 @@ def test_envelope_dominates_samples(flat_band):
 
 def test_measured_bound_flat(flat_band):
     assert measure_real_bound(flat_band) == pytest.approx(2.0)
+
+
+def test_measured_bound_sums_only_the_points_near_the_scanned_maximum(flat_band, monkeypatch):
+    # 10 001 points against 1 025 weights: the scan finds the peak at
+    # x = 0, and the direct sum runs there alone
+    sizes = []
+    monkeypatch.setattr(growth, "evaluate_entire",
+                        lambda F, z: sizes.append(np.size(z)) or evaluate_entire(F, z))
+    assert measure_real_bound(flat_band) == 2.0
+    assert sizes == [1]
 
 
 def test_type_estimates(flat_band, half_band):
@@ -191,6 +204,20 @@ def test_pl_bound_keeps_a_nan_row_wherever_it_stands(flat_band, monkeypatch):
         assert math.isnan(check_pl_bound(flat_band, 2.0 * math.pi, 2.0, (xs, ys)))
 
 
+def test_pl_bound_evaluates_the_lattice_in_one_call(flat_band, monkeypatch):
+    # one call, a row per height; the factored kernel gives each point the
+    # same bits in any batch, so the margin is that of a call per row
+    xs, ys = np.linspace(-5.0, 5.0, 21), np.linspace(-3.0, 3.0, 13)
+    B = measure_real_bound(flat_band)
+    per_row = max(float(np.max(np.abs(evaluate_entire(flat_band, xs + 1j * y))
+                                / (B * math.exp(2.0 * math.pi * abs(y))))) - 1.0 for y in ys)
+    shapes = []
+    monkeypatch.setattr(growth, "evaluate_entire",
+                        lambda F, z: shapes.append(np.shape(z)) or evaluate_entire(F, z))
+    assert check_pl_bound(flat_band, 2.0 * math.pi, B, (xs, ys)) == per_row
+    assert shapes == [(13, 21)]
+
+
 def test_zero_spectrum_passes_trivially():
     g = make_grid(1, 2.0, 256)
     F = sample_spectrum(g, lambda xi: np.zeros_like(xi),
@@ -203,3 +230,37 @@ def test_zero_spectrum_passes_trivially():
     # even though the zero function satisfies any bound, the zero bound too
     with pytest.warns(RuntimeWarning):
         assert check_pl_bound(F, 1.0, B, (xs, ys)) <= 0.0
+
+
+# the real-axis bound is the largest direct sum over the window's points,
+# bit for bit, whether the chirp-z scan narrows the points or not: short
+# windows (fewer points than the support), the zero spectrum, and even
+# spectra, whose maxima come in near-tied pairs at +-x
+@given(
+    half_width=st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.5, 8.0)),
+    half_points=st.integers(2, 400),
+    ends=st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+    window=st.one_of(st.floats(0.001, 2.0), st.floats(2.0, 50.0)),
+    kind=st.sampled_from(["random", "even", "zero"]),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+@example(half_width=2.0, half_points=512, ends=(-1.0, 1.0), window=50.0, kind="even", seed=0)
+@example(half_width=8.0, half_points=512, ends=(-4.0, 4.0), window=0.5, kind="random", seed=0)
+@example(half_width=2.0, half_points=64, ends=(-1.0, 1.0), window=25.0, kind="zero", seed=0)
+def test_real_bound_is_the_direct_maximum_bit_for_bit(half_width, half_points, ends, window,
+                                                     kind, seed):
+    rng = np.random.default_rng(seed)
+    freq = make_grid(1, half_width, 2 * half_points).reciprocal()
+    c = max(abs(e) for e in ends)
+    support = SupportSpec.interval(*sorted(ends)) if kind == "random" else SupportSpec.interval(-c, c)
+    start, stop = _support_range(freq, support)
+    vals = np.zeros(freq.points, dtype=complex)
+    if kind == "random":
+        vals[start:stop] = rng.standard_normal(stop - start) + 1j * rng.standard_normal(stop - start)
+    elif kind == "even":
+        xi = freq._axis_range(start, stop)
+        vals[start:stop] = np.cos(3.0 * xi) + 1.0 / (1.0 + xi * xi)
+    F = Spectrum(freq, vals, support)
+    xs = np.arange(-window, window + 0.005, 0.01)
+    want = float(np.max(np.abs(evaluate_entire(F, xs))))
+    assert measure_real_bound(F, window).hex() == want.hex()

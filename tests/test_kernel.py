@@ -4,7 +4,9 @@ Every off-lattice evaluation (half-plane extensions, the damped inverse,
 entire extensions) goes through one block-factored lattice phase sum,
 ``spectral._factored_sum``.  The direct sum below, one exponential per
 term, is its oracle; ``scipy.signal.czt`` is a second one for points on a
-horizontal line.
+horizontal line.  The one exception, the chirp-z scan of evenly spaced
+real points in ``growth.measure_real_bound``, is tested against this
+kernel in ``test_spectral.py``.
 """
 
 import math

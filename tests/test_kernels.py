@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -255,8 +256,9 @@ def _scales_and_points(draw):
 
 # every closed form over the whole finite float range, subnormals
 # included, and near its overflow edges: a finite value or a refusal,
-# never a warning, inf or NaN
-@pytest.mark.filterwarnings("error")
+# never a warning, inf or NaN.  Warnings are errors inside the body only:
+# a mark would still be active while hypothesis reports a failing example,
+# and a warning raised by its reporting would hide the example
 @given(tx=_scales_and_points(), n=st.sampled_from([1, 2, 3]), sign=st.sampled_from(["+", "-"]))
 def test_closed_forms_over_the_float_range_are_finite_or_refused(tx, n, sign):
     t, x = tx[0], np.array(tx[1])
@@ -272,7 +274,9 @@ def test_closed_forms_over_the_float_range_are_finite_or_refused(tx, n, sign):
          for family in ("abel", "gauss", "poisson", "abel_plus", "abel_minus")]
     for call, refusals in calls:
         try:
-            value = call()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                value = call()
         except refusals:
             continue
         assert np.all(np.isfinite(value))

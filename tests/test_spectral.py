@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,13 +13,21 @@ from abelharm import (
     convolve,
     forward_ft,
     inverse_ft,
+    lattice_sum,
     make_grid,
     poisson_kernel,
     project_spectrum,
     sample_function,
     sample_spectrum,
 )
-from abelharm.spectral import _centred_dft, _factored_sum, _slice_sum, _support_range
+from abelharm.spectral import (
+    _CHIRP_LENGTH,
+    _centred_dft,
+    _chirp_scan,
+    _factored_sum,
+    _slice_sum,
+    _support_range,
+)
 
 
 def test_support_spec_kinds():
@@ -413,3 +422,73 @@ def test_half_lines_accept_a_nonzero_at_the_origin():
     zero = int(np.flatnonzero(freq.axis() == 0.0)[0])
     for support in (SupportSpec.nonneg(), SupportSpec.nonpos()):
         assert Spectrum(freq, _one_nonzero(freq, zero), support).values[zero] == 1.0
+
+
+def _random_band(rng, half_width, points, ends):
+    """Complex values on the lattice points of [min(ends), max(ends)] of a frequency grid."""
+    freq = make_grid(1, half_width, points).reciprocal()
+    support = SupportSpec.interval(*sorted(ends))
+    start, stop = _support_range(freq, support)
+    vals = np.zeros(freq.points, dtype=complex)
+    vals[start:stop] = rng.standard_normal(stop - start) + 1j * rng.standard_normal(stop - start)
+    return Spectrum(freq, vals, support)
+
+
+# the chirp-z scan against the factored kernel at the same points: the
+# points x0 + m step are dyadic, so both sum at exactly the same points.
+# Space half-widths that are powers of two give frequency spacings that
+# are too; the others do not.  A short largest transform cuts the points
+# into chunks and the weights into blocks; the examples cross the chunk
+# boundary of the real one
+@given(
+    half_width=st.one_of(st.sampled_from([0.5, 1.0, 2.0, 8.0]), st.floats(0.5, 20.0)),
+    half_points=st.integers(2, 600),
+    ends=st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+    start=st.integers(-2 ** 15, 2 ** 15),
+    step=st.integers(-2 ** 10, 2 ** 10),
+    count=st.integers(1, 400),
+    length=st.sampled_from([8, 64, 1024, _CHIRP_LENGTH]),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+@example(half_width=2.0, half_points=64, ends=(-0.01, 0.01), start=-2 ** 15, step=1,
+         count=_CHIRP_LENGTH + 3, length=_CHIRP_LENGTH, seed=0)
+@example(half_width=3.0, half_points=64, ends=(-4.0, 4.0), start=5, step=-3,
+         count=_CHIRP_LENGTH - 20, length=_CHIRP_LENGTH, seed=1)
+def test_chirp_scan_matches_the_factored_kernel(half_width, half_points, ends, start, step,
+                                                 count, length, seed):
+    F = _random_band(np.random.default_rng(seed), half_width, 2 * half_points, ends)
+    x0, dx = start * 2.0 ** -10, step * 2.0 ** -12
+    xs = x0 + dx * np.arange(count)
+    got = _chirp_scan(F, x0, dx, count, length=length)
+    want = lattice_sum(F, xs)
+    mass = F.grid.spacing * np.sum(np.abs(F.values))
+    # the scan's bound, plus the factored kernel's own rounding of phases
+    # up to |x xi| turns
+    phase = np.max(np.abs(xs)) * max(abs(F.support.a), abs(F.support.b))
+    assert got.shape == (count,)
+    assert np.max(np.abs(got - want)) <= mass * (1e-13 + 2.0 ** -50 * 2.0 * math.pi * phase)
+
+
+def test_chirp_scan_keeps_its_accuracy_at_large_phases():
+    # x xi reaches 8.6e4 turns, where a phase rounded in floating point is
+    # off by up to about 6e-11 rad; the reference reduces each phase exactly
+    rng = np.random.default_rng(7)
+    F = _random_band(rng, 3.0, 100, (-7.0, 7.0))
+    x0, step, count = 12345.678, 0.01, 20
+    got = _chirp_scan(F, x0, step, count)
+    start, stop = _support_range(F.grid, F.support)
+    xi = [Fraction(F.grid._axis_range(start, start + 1)[0]) + k * Fraction(F.grid.spacing)
+          for k in range(stop - start)]
+    want = []
+    for m in range(count):
+        x = Fraction(x0) + m * Fraction(step)
+        turns = np.array([float(x * q % 1) for q in xi])
+        want.append(F.grid.spacing * np.sum(F.values[start:stop] * np.exp(2j * math.pi * turns)))
+    mass = F.grid.spacing * np.sum(np.abs(F.values))
+    assert np.max(np.abs(got - np.array(want))) <= 1e-13 * mass
+
+
+def test_chirp_scan_of_no_points_or_no_weights_is_empty_or_zero():
+    F = _random_band(np.random.default_rng(3), 2.0, 64, (0.1, 0.2))  # no lattice point
+    assert _chirp_scan(F, 0.0, 0.5, 0).shape == (0,)
+    assert _chirp_scan(F, 0.0, 0.5, 5).tobytes() == np.zeros(5, dtype=complex).tobytes()
