@@ -24,13 +24,9 @@ from .kernels import (
     KernelSpec,
     QuadratureBudgetError,
     abel_from_gaussians,
-    abel_ft,
     abel_kernel,
-    gauss_kernel,
     half_kernel,
     half_kernel_ft,
-    kernel_value,
-    poisson_constant,
     poisson_kernel,
     sample_kernel,
 )
@@ -81,13 +77,9 @@ __all__ = [
     "KernelSpec",
     "QuadratureBudgetError",
     "abel_from_gaussians",
-    "abel_ft",
     "abel_kernel",
-    "gauss_kernel",
     "half_kernel",
     "half_kernel_ft",
-    "kernel_value",
-    "poisson_constant",
     "poisson_kernel",
     "sample_kernel",
     "Spectrum",

@@ -1,8 +1,10 @@
-"""Closed-form kernels: Abel, Gaussian, Poisson, and the half-line pair.
+"""Closed-form kernels: Abel, Poisson, and the half-line pair.
 
 ``x`` arguments are scalars or arrays of points on the line.  The radial
-Poisson kernel and its normalizing constant also take a dimension n in
-{1, 2, 3}, for the radial checks in R^n.
+Poisson kernel also takes a dimension n in {1, 2, 3}, for the radial
+checks in R^n.  There is no Gaussian kernel family: Gaussian damping is
+:func:`abelharm.summability.gauss_mean`, and the Gaussians that rebuild
+the Abel kernel live inside :func:`abel_from_gaussians`.
 """
 
 from __future__ import annotations
@@ -19,18 +21,14 @@ __all__ = [
     "KernelSpec",
     "QuadratureBudgetError",
     "abel_kernel",
-    "gauss_kernel",
-    "poisson_constant",
     "poisson_kernel",
-    "abel_ft",
     "half_kernel",
     "half_kernel_ft",
     "abel_from_gaussians",
-    "kernel_value",
     "sample_kernel",
 ]
 
-_FAMILIES = ("abel", "gauss", "poisson", "abel_plus", "abel_minus")
+_FAMILIES = ("abel", "poisson", "abel_plus", "abel_minus")
 
 # c_n = Gamma((n+1)/2) * pi**(-(n+1)/2).  Only Gamma(1), Gamma(3/2) and
 # Gamma(2) ever occur, so the three values are hard-coded instead of
@@ -42,6 +40,11 @@ _POISSON_CONSTANT = {
 }
 
 
+# the midpoint nodes of abel_from_gaussians and its truncation point u_max
+_GAUSS_NODES = 4096
+_GAUSS_U_MAX = 50.0
+
+
 class QuadratureBudgetError(RuntimeError):
     """Raised when a quadrature cannot meet its accuracy budget."""
 
@@ -50,8 +53,7 @@ class QuadratureBudgetError(RuntimeError):
 class KernelSpec:
     """Names one kernel family at one scale on the line.
 
-    ``t`` is the scale parameter of the family (the Gaussian family reads
-    it as its width parameter s).  ``n`` is the dimension and must be 1.
+    ``t`` is the family's scale; ``n`` is the dimension and must be 1.
     """
 
     family: str
@@ -100,20 +102,6 @@ def abel_kernel(t: float, x):
     return np.exp(_abel_exponent(t, np.abs(np.asarray(x, dtype=float))))
 
 
-def gauss_kernel(s: float, x):
-    """exp(-pi s^2 x^2), normalized so the s = 1 kernel is transform
-    self-dual and s -> 0 recovers the undamped limit."""
-    _check_scale(s)
-    return np.exp(_gauss_exponent(s, np.abs(np.asarray(x, dtype=float))))
-
-
-def poisson_constant(n: int) -> float:
-    """The normalizing constant c_n making P_t a probability density."""
-    if n not in _POISSON_CONSTANT:
-        raise ValueError(f"dimension must be 1, 2 or 3, got {n}")
-    return _POISSON_CONSTANT[n]
-
-
 def poisson_kernel(n: int, t: float, r):
     """P_t at distance r: c_n * t / (r^2 + t^2)^((n+1)/2).
 
@@ -127,9 +115,12 @@ def poisson_kernel(n: int, t: float, r):
     denominator (r^2 + t^2)^((n+1)/2) overflows, r and t are first scaled
     by m = max(t, |r|), as ``math.hypot`` does, so that the value is the
     rounded one, such as 3.18e-171 at t = 1e150, r = 1e160, and not 0.
+    P_t is also the Fourier transform of the Abel kernel exp(-2 pi t |x|).
     """
     _check_scale(t)
-    c = poisson_constant(n)
+    if n not in _POISSON_CONSTANT:
+        raise ValueError(f"dimension must be 1, 2 or 3, got {n}")
+    c = _POISSON_CONSTANT[n]
     power = (n + 1) / 2.0
     with np.errstate(over="ignore"):
         peak_denominator = np.float64(t * t) ** power
@@ -153,15 +144,6 @@ def poisson_kernel(n: int, t: float, r):
         scaled = scaled / m
     out[huge] = scaled / ((rv[huge] / m) ** 2 + (t / m) ** 2) ** power
     return out[()]
-
-
-def abel_ft(n: int, t: float, xi):
-    """Fourier transform of the Abel kernel, which is the Poisson kernel.
-
-    Identical to ``poisson_kernel(n, t, xi)``; kept as its own operation so
-    the transform identity can be tested against the lattice transform.
-    """
-    return poisson_kernel(n, t, xi)
 
 
 def half_kernel(sign: str, t: float, x):
@@ -214,44 +196,25 @@ def half_kernel_ft(sign: str, t: float, xi):
     return out[()]
 
 
-def abel_from_gaussians(t: float, x, u_max: float = 50.0, M: int = 4096):
+def abel_from_gaussians(t: float, x):
     """Abel kernel reconstructed as a weighted average of Gaussians.
 
     Evaluates integral_0^inf exp(-u)/sqrt(pi u) * exp(-pi^2 t^2 |x|^2 / u) du,
     whose weight integrates to exactly 1.  The substitution u = v^2 removes
-    the u**-1/2 endpoint singularity; the midpoint rule on [0, sqrt(u_max)]
-    then converges spectrally.  The quadrature error is estimated as the
-    difference against the half-resolution rule plus the truncated tail of
-    the weight; if that estimate exceeds 1e-8 the call refuses to return a
-    value rather than silently degrade.  Non-finite points raise
-    ValueError.
+    the u**-1/2 endpoint singularity; the midpoint rule with 4096 nodes on
+    [0, sqrt(50)] then converges spectrally.  The quadrature error is
+    estimated as the difference against the half-resolution rule plus the
+    truncated tail of the weight; if that estimate exceeds 1e-8 the call
+    refuses to return a value rather than silently degrade.  A scalar x
+    gives a float and an array x an array of its shape; non-finite points
+    raise ValueError.
 
-    Near the origin, but not at it, the default nodes miss the turn of
+    Near the origin, but not at it, the nodes miss the turn of
     exp(-pi^2 t^2 x^2 / v^2) near v = sqrt(pi t |x|): at t = 1, x = 1e-6,
-    1e-4, 1e-3 and 3e-3 raise QuadratureBudgetError, x = 0 and 1e-2 do
-    not, and M = 65536 recovers x = 1e-3 but not 1e-4.
-
-    Parameters
-    ----------
-    t : float
-        Kernel scale, positive.
-    x : array_like
-        Evaluation point(s) on the line.
-    u_max : float
-        Truncation point of the average.
-    M : int
-        Number of midpoint nodes (even).
-
-    Returns
-    -------
-    ndarray or float
-        Approximation of ``abel_kernel(t, x)``.
+    1e-4, 1e-3 and 3e-3 raise QuadratureBudgetError, and x = 0 and 1e-2
+    do not.
     """
     _check_scale(t)
-    if M < 8 or M % 2 != 0:
-        raise ValueError(f"M must be even and >= 8, got {M}")
-    if not u_max > 1:
-        raise ValueError(f"u_max must exceed 1, got {u_max}")
     r = np.abs(np.asarray(x, dtype=float))
     if not np.all(np.isfinite(r)):
         raise ValueError("evaluation points must be finite")
@@ -263,41 +226,33 @@ def abel_from_gaussians(t: float, x, u_max: float = 50.0, M: int = 4096):
         a = (math.pi * (t * r) if math.isinf(c) else c * r) ** 2
 
     def midpoint(m):
-        h = math.sqrt(u_max) / m
+        h = math.sqrt(_GAUSS_U_MAX) / m
         v = (np.arange(m) + 0.5) * h
         # shape (points, nodes) so each evaluation point integrates its own row
         with np.errstate(over="ignore"):
             body = np.exp(-v * v - np.atleast_1d(a)[:, None] / (v * v))
         return (2.0 / math.sqrt(math.pi)) * h * body.sum(axis=1)
 
-    fine = midpoint(M)
-    coarse = midpoint(M // 2)
-    tail = math.exp(-u_max) / math.sqrt(math.pi * u_max)
+    fine = midpoint(_GAUSS_NODES)
+    coarse = midpoint(_GAUSS_NODES // 2)
+    tail = math.exp(-_GAUSS_U_MAX) / math.sqrt(math.pi * _GAUSS_U_MAX)
     estimate = float(np.max(np.abs(fine - coarse))) + tail
     if not estimate <= 1e-8:
         raise QuadratureBudgetError(
-            f"quadrature error estimate {estimate:.3e} exceeds the 1e-8 budget; "
-            f"increase M or u_max"
-        )
+            f"quadrature error estimate {estimate:.3e} exceeds the 1e-8 budget")
     return fine.reshape(np.shape(r)) if np.shape(r) else float(fine[0])
 
 
-def kernel_value(spec: KernelSpec, x):
-    """Evaluate the kernel named by ``spec`` at point(s) ``x``."""
-    if spec.family == "abel":
-        return abel_kernel(spec.t, x)
-    if spec.family == "gauss":
-        return gauss_kernel(spec.t, x)
-    if spec.family == "poisson":
-        return poisson_kernel(1, spec.t, x)
-    if spec.family == "abel_plus":
-        return half_kernel("+", spec.t, x)
-    return half_kernel("-", spec.t, x)
-
-
 def sample_kernel(grid: Grid, spec: KernelSpec) -> SampledFunction:
-    """Sample a kernel on a grid.
+    """Sample the kernel named by ``spec`` on a grid.
 
     Every kernel is real, so its samples are float64.
     """
-    return _adopt(SampledFunction, kernel_value(spec, grid.axis()), grid=grid)
+    x, t = grid.axis(), spec.t
+    if spec.family == "abel":
+        values = abel_kernel(t, x)
+    elif spec.family == "poisson":
+        values = poisson_kernel(1, t, x)
+    else:
+        values = half_kernel("+" if spec.family == "abel_plus" else "-", t, x)
+    return _adopt(SampledFunction, values, grid=grid)

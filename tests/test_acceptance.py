@@ -9,6 +9,8 @@ floor that no implementation can cross, and the companion test shows the
 identity holds once the grid is refined.
 """
 
+import csv
+import json
 import math
 import subprocess
 import sys
@@ -21,7 +23,6 @@ import pytest
 from abelharm import (
     KernelSpec,
     SupportSpec,
-    abel_ft,
     abel_from_gaussians,
     abel_kernel,
     abel_regularized_inverse,
@@ -46,6 +47,7 @@ from abelharm import (
     sample_kernel,
     sample_spectrum,
 )
+from abelharm import cli
 from abelharm.summability import summability_verdict
 
 
@@ -70,7 +72,7 @@ def test_abel_transform_matches_poisson_on_reference_grid():
     F = forward_ft(sample_kernel(grid, KernelSpec("abel", 1.0, 1)))
     xi = F.grid.axis()
     win = np.abs(xi) <= 4.0
-    err = float(np.max(np.abs(F.values[win] - abel_ft(1, 1.0, xi[win]))))
+    err = float(np.max(np.abs(F.values[win] - poisson_kernel(1, 1.0, xi[win]))))
     assert err <= 1e-6
 
 
@@ -80,7 +82,7 @@ def test_abel_transform_matches_poisson_on_refined_grid():
     F = forward_ft(sample_kernel(grid, KernelSpec("abel", 1.0, 1)))
     xi = F.grid.axis()
     win = np.abs(xi) <= 4.0
-    err = float(np.max(np.abs(F.values[win] - abel_ft(1, 1.0, xi[win]))))
+    err = float(np.max(np.abs(F.values[win] - poisson_kernel(1, 1.0, xi[win]))))
     assert err <= 1e-6
     assert time.perf_counter() - t0 < 5.0
 
@@ -96,7 +98,7 @@ def test_half_line_transforms_match_closed_forms():
     xi = np.linspace(-4.0, 4.0, 1601)
     plus, minus = half_kernel_ft("+", 1.0, xi), half_kernel_ft("-", 1.0, xi)
     assert np.max(np.abs(minus - np.conjugate(plus))) <= 1e-12
-    assert np.max(np.abs(plus + minus - abel_ft(1, 1.0, xi))) <= 1e-12
+    assert np.max(np.abs(plus + minus - poisson_kernel(1, 1.0, xi))) <= 1e-12
 
 
 def test_gaussian_average_rebuilds_abel_kernel():
@@ -251,20 +253,28 @@ def test_type_estimates_within_gate():
     assert abs(estimate_type(half, heights) - math.pi) <= 0.3
 
 
-def test_reports_are_deterministic(tmp_path):
+@pytest.fixture(scope="module")
+def full_runs(tmp_path_factory):
+    """Two ``--suite all`` runs in subprocesses: their output directories,
+    results and the wall time of both."""
     t0 = time.perf_counter()
-    outs = []
+    outs, results = [], []
     for tag in ("a", "b"):
-        out = tmp_path / tag
-        res = subprocess.run(
+        out = tmp_path_factory.mktemp(tag)
+        results.append(subprocess.run(
             [sys.executable, "-m", "abelharm.cli", "run", "--suite", "all",
              "--out", str(out)],
             capture_output=True, text=True, timeout=280,
-        )
+        ))
+        outs.append(out)
+    return outs, results, time.perf_counter() - t0
+
+
+def test_reports_are_deterministic(full_runs):
+    outs, results, elapsed = full_runs
+    for res in results:
         assert res.returncode == 0, res.stderr + res.stdout[-2000:]
         assert "poisson_normalization n=1 t=1: pass" in res.stdout
-        outs.append(out)
-    elapsed = time.perf_counter() - t0
     a, b = outs
     csvs = sorted(p.relative_to(a) for p in a.rglob("*.csv"))
     assert len(csvs) >= 15
@@ -273,3 +283,38 @@ def test_reports_are_deterministic(tmp_path):
     assert (a / "summary.txt").read_bytes() == (b / "summary.txt").read_bytes()
     assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
     assert elapsed < 300.0
+
+
+# the checks that belong to no criterion, and the criteria each suite runs
+_SUPPORTING = {"transform_round_trip", "inverse_closed_form_poisson",
+               "regularized_inverse_attenuation", "lower_half_plane_mirror"}
+_SUITE_CRITERIA = {"kernels": {1, 2, 3, 4, 5}, "summability": {6}, "inversion": {7},
+                   "hardy": {7, 8, 9, 10, 11}, "growth": {12, 13, 14}}
+
+
+def test_every_check_names_its_criterion(full_runs, tmp_path):
+    summary = json.loads((full_runs[0][0] / "summary.json").read_text())
+    checks = summary["checks"]
+    assert {c["name"] for c in checks if c["criterion"] is None} == _SUPPORTING
+    assert all(c["criterion"] in range(1, 16) for c in checks if c["name"] not in _SUPPORTING)
+    assert [c["index"] for c in summary["criteria"] if c["verdict"] != "not-run"] == list(range(1, 16))
+    # the four fast suites run alone; the hardy suite's checks are the
+    # rest of the full run's
+    elsewhere = {"deterministic_reports"}
+    for suite in ("kernels", "summability", "inversion", "growth"):
+        bundle = cli.run(cli.ExperimentConfig(suite=suite, output_dir=str(tmp_path / suite)))
+        assert {c.index for c in bundle.criteria if c.verdict != "not-run"} == _SUITE_CRITERIA[suite]
+        elsewhere |= {c.name for c in bundle.checks}
+    hardy = {c["criterion"] for c in checks if c["name"] not in elsewhere} - {None}
+    assert hardy == _SUITE_CRITERIA["hardy"]
+
+
+def test_representation_legs_are_distinct_computations(full_runs):
+    # criterion 9 compares three computations pairwise; two legs that were
+    # one computation would leave a column of exact zeros, as the damped
+    # leg did while it was the spectral lattice sum again
+    with open(full_runs[0][0] / "hardy" / "agreement.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 225
+    for column in ("spectral_vs_damped", "spectral_vs_cauchy", "damped_vs_cauchy"):
+        assert min(float(r[column]) for r in rows) > 0.0, column

@@ -153,18 +153,21 @@ def _outcome(checks, index):
 
 
 def test_check_gate_and_override():
-    assert _check("g", 1e-9, 1e-8).verdict == "pass"
-    assert _check("g", 2e-8, 1e-8).verdict == "fail"
-    assert _check("g", math.nan, 1e-8).verdict == "fail"
-    assert _check("g", 4.0, 3.0, ok=4.0 >= 3.0).verdict == "pass"
-    assert _check("g", 1e-9, 1e-8, ok=False).verdict == "fail"
+    assert _check(None, "g", 1e-9, 1e-8).verdict == "pass"
+    assert _check(None, "g", 2e-8, 1e-8).verdict == "fail"
+    assert _check(None, "g", math.nan, 1e-8).verdict == "fail"
+    assert _check(None, "g", 4.0, 3.0, ok=4.0 >= 3.0).verdict == "pass"
+    assert _check(None, "g", 1e-9, 1e-8, ok=False).verdict == "fail"
+    # without a gate of its own, a check takes its criterion's tolerance
+    assert (_check(4, "g", 2e-8).tolerance, _check(4, "g", 2e-8).verdict) == (1e-8, "fail")
+    assert _check(4, "g", 2e-8, 1e-7).criterion == 4
 
 
 def test_criterion_fails_when_any_member_fails():
     checks = [
-        CheckResult("gaussian_subordination t=0.5", "pass", 1e-9, 1e-8),
-        CheckResult("gaussian_subordination t=1", "fail", 2e-8, 1e-8),
-        CheckResult("gaussian_subordination t=2", "expected-fail", 5e-9, 1e-8),
+        CheckResult("gaussian_subordination t=0.5", "pass", 1e-9, 1e-8, criterion=4),
+        CheckResult("gaussian_subordination t=1", "fail", 2e-8, 1e-8, criterion=4),
+        CheckResult("gaussian_subordination t=2", "expected-fail", 5e-9, 1e-8, criterion=4),
     ]
     out = _outcome(checks, 4)
     assert (out.name, out.verdict) == ("gaussian_subordination", "fail")
@@ -174,22 +177,24 @@ def test_criterion_fails_when_any_member_fails():
 
 def test_criterion_is_expected_fail_when_a_member_is_and_none_fails():
     checks = [
-        CheckResult("transform_identity_pinned_grid", "expected-fail", 2.5e-5, 1e-6, "aliasing floor"),
-        CheckResult("transform_identity_refined_grid", "pass", 1e-9, 1e-6),
+        CheckResult("transform_identity_pinned_grid", "expected-fail", 2.5e-5, 1e-6, "aliasing floor", 2),
+        CheckResult("transform_identity_refined_grid", "pass", 1e-9, 1e-6, criterion=2),
     ]
     out = _outcome(checks, 2)
     assert out.verdict == "expected-fail"
     assert out.measured == 2.5e-5
     assert out.detail == "grid R=40 N=16384; aliasing floor"
     checks = [
-        CheckResult("abel_limit witness=gauss", "expected-fail", 1e-4, 1e-3),
-        CheckResult("abel_gauss_agreement witness=gauss", "pass", 1e-4, 2e-3),
+        CheckResult("abel_limit witness=gauss", "expected-fail", 1e-4, 1e-3, criterion=6),
+        CheckResult("abel_gauss_agreement witness=gauss", "pass", 1e-4, 2e-3, criterion=6),
     ]
     assert _outcome(checks, 6).verdict == "expected-fail"
 
 
 def test_criterion_without_members_is_not_run():
-    outcomes = _criteria([CheckResult("transform_round_trip", "pass", 1e-12, 1e-8)])
+    # membership is the criterion a check names, not its name
+    outcomes = _criteria([CheckResult("transform_round_trip", "pass", 1e-12, 1e-8),
+                          CheckResult("poisson_normalization n=1 t=1", "fail", 1.0, 1e-6)])
     assert [c.index for c in outcomes] == list(range(1, 16))
     for c in outcomes:
         assert (c.verdict, c.measured, c.tolerance, c.detail) == ("not-run", None, None, "")
@@ -199,18 +204,18 @@ def test_criterion_measures_the_worst_member_at_its_tolerance():
     # criterion 11 gates at 1e-5; its step-scaling (gate 3) and conjugate
     # (gate 1e-2) members enter only the detail
     checks = [
-        CheckResult("cr_residual_holomorphic", "pass", 2e-8, 1e-5),
-        CheckResult("cr_residual_step_scaling", "pass", 4.0, 3.0),
-        CheckResult("cr_residual_detects_antiholomorphic", "pass", 0.08, 1e-2),
+        CheckResult("cr_residual_holomorphic", "pass", 2e-8, 1e-5, criterion=11),
+        CheckResult("cr_residual_step_scaling", "pass", 4.0, 3.0, criterion=11),
+        CheckResult("cr_residual_detects_antiholomorphic", "pass", 0.08, 1e-2, criterion=11),
     ]
     out = _outcome(checks, 11)
     assert (out.verdict, out.measured, out.tolerance) == ("pass", 2e-8, 1e-5)
     assert out.detail == "step scaling 4x, conjugate witness residual 0.08"
     checks = [
-        CheckResult("half_line_transform sign=+", "pass", 3e-5, 1e-4),
-        CheckResult("half_line_transform sign=-", "pass", 1e-5, 1e-4),
-        CheckResult("half_line_conjugacy_identity", "pass", 5e-17, 1e-12),
-        CheckResult("half_line_sum_identity", "pass", 1e-16, 1e-12),
+        CheckResult("half_line_transform sign=+", "pass", 3e-5, 1e-4, criterion=3),
+        CheckResult("half_line_transform sign=-", "pass", 1e-5, 1e-4, criterion=3),
+        CheckResult("half_line_conjugacy_identity", "pass", 5e-17, 1e-12, criterion=3),
+        CheckResult("half_line_sum_identity", "pass", 1e-16, 1e-12, criterion=3),
     ]
     out = _outcome(checks, 3)
     assert (out.measured, out.tolerance) == (3e-5, 1e-4)
@@ -218,7 +223,8 @@ def test_criterion_measures_the_worst_member_at_its_tolerance():
     # a member that measured NaN makes the criterion's value NaN, wherever
     # it stands among the members
     for values in ((1e-9, math.nan), (math.nan, 1e-9)):
-        checks = [CheckResult(f"gaussian_subordination t={t}", "pass" if v <= 1e-8 else "fail", v, 1e-8)
+        checks = [CheckResult(f"gaussian_subordination t={t}", "pass" if v <= 1e-8 else "fail", v, 1e-8,
+                              criterion=4)
                   for t, v in zip((0.5, 1), values)]
         out = _outcome(checks, 4)
         assert out.verdict == "fail" and math.isnan(out.measured)
@@ -226,7 +232,7 @@ def test_criterion_measures_the_worst_member_at_its_tolerance():
 
 def test_criterion_fifteen_reads_the_verdict_of_its_member():
     for verdict, word in (("pass", "true"), ("fail", "false")):
-        out = _outcome([CheckResult("deterministic_reports", verdict)], 15)
+        out = _outcome([CheckResult("deterministic_reports", verdict, criterion=15)], 15)
         assert (out.verdict, out.detail) == (verdict, f"wall time within budget: {word}")
 
 

@@ -10,18 +10,18 @@ from abelharm import (
     KernelSpec,
     QuadratureBudgetError,
     abel_from_gaussians,
-    abel_ft,
     abel_kernel,
-    gauss_kernel,
+    abel_mean,
+    gauss_mean,
     half_kernel,
     half_kernel_ft,
-    kernel_value,
-    poisson_constant,
     poisson_kernel,
     make_grid,
     radial_integrate,
+    sample_function,
     sample_kernel,
 )
+from abelharm.kernels import _POISSON_CONSTANT
 
 
 def test_kernel_spec_validation():
@@ -34,11 +34,9 @@ def test_kernel_spec_validation():
 @pytest.mark.parametrize("t", [math.inf, math.nan])
 def test_kernels_reject_a_non_finite_scale(t):
     for make in (
-        lambda: KernelSpec("gauss", t, 1),
+        lambda: KernelSpec("poisson", t, 1),
         lambda: abel_kernel(t, 0.0),
-        lambda: gauss_kernel(t, 0.0),
         lambda: poisson_kernel(1, t, 0.0),
-        lambda: abel_ft(1, t, 0.0),
         lambda: half_kernel("+", t, 0.0),
         lambda: half_kernel_ft("-", t, 0.0),
         lambda: abel_from_gaussians(t, 0.0),
@@ -48,19 +46,16 @@ def test_kernels_reject_a_non_finite_scale(t):
 
 
 def test_kernels_at_extreme_scales_are_finite():
-    # where 2 pi t or pi s^2 overflows, the weight at 0 is still 1, not the
-    # NaN of inf * 0, and an exponent that overflows is a weight of 0
-    # without a warning
+    # where 2 pi t overflows, the weight at 0 is still 1, not the NaN of
+    # inf * 0, and an exponent that overflows is a weight of 0 without a
+    # warning
     assert abel_kernel(1e308, 0.0) == 1.0
     assert abel_kernel(1e308, 1.0) == 0.0
     assert abel_kernel(1e306, 1e5) == 0.0
     assert half_kernel("+", 1e308, 0.0) == 1.0
     assert half_kernel("-", 1e308, -1.0) == 0.0
-    assert gauss_kernel(1e170, 0.0) == 1.0
-    assert gauss_kernel(1e170, 1.0) == 0.0
-    assert gauss_kernel(1e150, 1e10) == 0.0
     g = make_grid(1, 4.0, 64)
-    for family in ("abel", "abel_plus", "gauss"):
+    for family in ("abel", "abel_plus"):
         vals = sample_kernel(g, KernelSpec(family, 1e308)).values
         assert vals[32] == 1.0 and np.count_nonzero(vals) == 1
 
@@ -70,9 +65,8 @@ def test_kernels_keep_their_closed_form_bits_at_ordinary_scales():
     r = np.abs(x)
     for t in (1e-5, 0.3, 1.0, 7.5, 1e3):
         assert abel_kernel(t, x).tobytes() == np.exp(-2.0 * math.pi * t * r).tobytes()
-        assert gauss_kernel(t, x).tobytes() == np.exp(-math.pi * (t * t) * r * r).tobytes()
         for n in (1, 2, 3):
-            want = poisson_constant(n) * t / (x * x + t * t) ** ((n + 1) / 2.0)
+            want = _POISSON_CONSTANT[n] * t / (x * x + t * t) ** ((n + 1) / 2.0)
             assert poisson_kernel(n, t, x).tobytes() == want.tobytes()
         assert half_kernel_ft("+", t, x).tobytes() == (1.0 / (2.0 * math.pi * (t + 1j * x))).tobytes()
         assert half_kernel_ft("-", t, x).tobytes() == (1.0 / (2.0 * math.pi * (t - 1j * x))).tobytes()
@@ -132,15 +126,14 @@ def test_half_kernel_ft_rejects_a_scale_whose_peak_overflows(sign):
 def test_poisson_kernel_rejects_scales_whose_peak_is_out_of_range(n, t):
     # the peak's denominator t^(n+1) underflows or overflows; t = 1e-200
     # on the line used to give inf for the finite peak c_1 / t
-    for make in (lambda: poisson_kernel(n, t, 0.0), lambda: abel_ft(n, t, 1.0)):
-        with pytest.raises(ValueError, match=re.escape(f"scale {t} is out of range")):
-            make()
+    with pytest.raises(ValueError, match=re.escape(f"scale {t} is out of range")):
+        poisson_kernel(n, t, 0.0)
     if n == 1:
         with pytest.raises(ValueError, match=re.escape(f"scale {t} is out of range")):
             sample_kernel(make_grid(1, 4.0, 64), KernelSpec("poisson", t))
     # the edges of the range in dimension 1 keep a finite, exact peak
-    assert poisson_kernel(1, 1e-150, 0.0) == poisson_constant(1) * 1e-150 / (1e-150 * 1e-150)
-    assert poisson_kernel(1, 1e150, 0.0) == poisson_constant(1) * 1e150 / (1e150 * 1e150)
+    assert poisson_kernel(1, 1e-150, 0.0) == _POISSON_CONSTANT[1] * 1e-150 / (1e-150 * 1e-150)
+    assert poisson_kernel(1, 1e150, 0.0) == _POISSON_CONSTANT[1] * 1e150 / (1e150 * 1e150)
 
 
 def test_abel_kernel_values():
@@ -148,18 +141,23 @@ def test_abel_kernel_values():
     assert abel_kernel(0.5, 1.0) == pytest.approx(math.exp(-math.pi))
 
 
-def test_gauss_kernel_self_scale():
-    assert gauss_kernel(1.0, 1.0) == pytest.approx(math.exp(-math.pi))
-    assert gauss_kernel(2.0, 0.5) == pytest.approx(math.exp(-math.pi))
-
-
 def test_poisson_kernel_peak_and_scaling():
     for n in (1, 2, 3):
         assert poisson_kernel(n, 2.0, 0.0) == pytest.approx(
-            poisson_constant(n) * 2.0 ** -n)
+            _POISSON_CONSTANT[n] * 2.0 ** -n)
         # P_t(r) = t^-n P_1(r/t)
         assert poisson_kernel(n, 2.0, 3.0) == pytest.approx(
             2.0 ** -n * poisson_kernel(n, 1.0, 1.5))
+
+
+def test_poisson_constants_are_the_gamma_closed_form():
+    # c_n = Gamma((n+1)/2) pi^(-(n+1)/2), the normalizing constant of P_t in R^n
+    for n in (1, 2, 3):
+        want = math.gamma((n + 1) / 2.0) * math.pi ** (-(n + 1) / 2.0)
+        assert abs(_POISSON_CONSTANT[n] - want) <= 1e-15 * want
+    for n in (0, 4):
+        with pytest.raises(ValueError, match="dimension must be 1, 2 or 3"):
+            poisson_kernel(n, 1.0, 0.0)
 
 
 def test_poisson_kernel_unit_mass_quick():
@@ -181,12 +179,7 @@ def test_half_kernel_transforms_are_conjugate():
     plus = half_kernel_ft("+", 1.0, xi)
     minus = half_kernel_ft("-", 1.0, xi)
     assert np.max(np.abs(minus - np.conjugate(plus))) < 1e-15
-    assert np.max(np.abs(plus + minus - abel_ft(1, 1.0, xi))) < 1e-15
-
-
-def test_abel_ft_is_poisson():
-    xi = np.linspace(-4.0, 4.0, 41)
-    assert np.allclose(abel_ft(1, 0.7, xi), poisson_kernel(1, 0.7, xi), atol=0.0)
+    assert np.max(np.abs(plus + minus - poisson_kernel(1, 1.0, xi))) < 1e-15
 
 
 def test_gaussian_average_reconstructs_abel():
@@ -203,21 +196,19 @@ def test_gaussian_average_scalar_input():
 
 
 def test_gaussian_average_budget_guard():
-    with pytest.raises(QuadratureBudgetError):
-        abel_from_gaussians(1.0, 0.0, u_max=2.0, M=8)
-    with pytest.raises(ValueError):
-        abel_from_gaussians(1.0, 0.0, M=7)
-    # a NaN estimate is past the budget too, not within it
-    with np.errstate(invalid="ignore"), pytest.raises(QuadratureBudgetError):
-        abel_from_gaussians(1.0, 0.5, u_max=math.inf)
+    # one point past the budget refuses the whole call, and the points on
+    # either side of the unresolved layer are within it
+    for bad in (1e-6, 1e-4, 3e-3):
+        with pytest.raises(QuadratureBudgetError, match="exceeds the 1e-8 budget"):
+            abel_from_gaussians(1.0, np.array([0.5, bad]))
+    x = np.array([0.0, 1e-2])
+    assert np.max(np.abs(abel_from_gaussians(1.0, x) - abel_kernel(1.0, x))) <= 1e-8
 
 
 def test_gaussian_average_refuses_points_near_the_origin_at_its_default_nodes():
-    # the default nodes do not resolve the layer near v = sqrt(pi t |x|);
-    # more nodes do, for this point
+    # the fixed nodes do not resolve the layer near v = sqrt(pi t |x|)
     with pytest.raises(QuadratureBudgetError):
         abel_from_gaussians(1.0, 1e-3)
-    assert abel_from_gaussians(1.0, 1e-3, M=65536) == pytest.approx(abel_kernel(1.0, 1e-3), abs=1e-10)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -226,17 +217,25 @@ def test_gaussian_average_rejects_non_finite_points(bad):
         abel_from_gaussians(1.0, np.array([0.5, bad]))
 
 
-def test_kernel_value_dispatch():
-    x = np.array([0.0, 1.0, -1.0])
-    spec = KernelSpec("poisson", 1.0, 1)
-    assert np.allclose(kernel_value(spec, x), poisson_kernel(1, 1.0, x))
+def test_sample_kernel_matches_each_closed_form_bit_for_bit():
+    g = make_grid(1, 8.0, 256)
+    x = g.axis()
+    for t in (1e-3, 0.5, 1.0, 7.5):
+        for family, closed in (
+            ("abel", abel_kernel(t, x)),
+            ("poisson", poisson_kernel(1, t, x)),
+            ("abel_plus", half_kernel("+", t, x)),
+            ("abel_minus", half_kernel("-", t, x)),
+        ):
+            values = sample_kernel(g, KernelSpec(family, t)).values
+            assert values.tobytes() == closed.tobytes(), (family, t)
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 # the scales where an intermediate of a closed form leaves the float
 # range: 2 pi t overflows past 2**1023/pi, numpy's complex division by
 # 2 pi (t +- i xi) overflows once a part reaches 2**1023, and the
-# Gaussian's pi t**2 reaches 2**1023 at sqrt(2**1023/pi)
+# Gaussian damping's pi t**2 reaches 2**1023 at sqrt(2**1023/pi)
 _EDGES = (2.0 ** 1023 / math.pi, 2.0 ** 1023 / (2.0 * math.pi), math.sqrt(2.0 ** 1023 / math.pi))
 
 
@@ -259,19 +258,24 @@ def _scales_and_points(draw):
 # never a warning, inf or NaN.  Warnings are errors inside the body only:
 # a mark would still be active while hypothesis reports a failing example,
 # and a warning raised by its reporting would hide the example
+# the damped means and the kernel samples run over these fixed lattices
+_SAMPLES = sample_function(make_grid(1, 4.0, 16), lambda x: np.exp(-x * x))
+_KERNEL_GRID = make_grid(1, 4.0, 16)
+
+
 @given(tx=_scales_and_points(), n=st.sampled_from([1, 2, 3]), sign=st.sampled_from(["+", "-"]))
 def test_closed_forms_over_the_float_range_are_finite_or_refused(tx, n, sign):
     t, x = tx[0], np.array(tx[1])
     calls = [
         (lambda: abel_kernel(t, x), ValueError),
-        (lambda: gauss_kernel(t, x), ValueError),
         (lambda: poisson_kernel(n, t, x), ValueError),
-        (lambda: abel_ft(n, t, x), ValueError),
         (lambda: half_kernel(sign, t, x), ValueError),
         (lambda: half_kernel_ft(sign, t, x), ValueError),
         (lambda: abel_from_gaussians(t, x), (ValueError, QuadratureBudgetError)),
-    ] + [(lambda family=family: kernel_value(KernelSpec(family, t), x), ValueError)
-         for family in ("abel", "gauss", "poisson", "abel_plus", "abel_minus")]
+        (lambda: abel_mean(_SAMPLES, t), ValueError),
+        (lambda: gauss_mean(_SAMPLES, t), ValueError),
+    ] + [(lambda family=family: sample_kernel(_KERNEL_GRID, KernelSpec(family, t)).values, ValueError)
+         for family in ("abel", "poisson", "abel_plus", "abel_minus")]
     for call, refusals in calls:
         try:
             with warnings.catch_warnings():

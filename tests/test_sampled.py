@@ -87,7 +87,7 @@ def test_lattices_are_one_dimensional():
     # the positional forms with the dimension spelled out still construct
     g = make_grid(1, 2.0, 16)
     assert (g.n, g.size) == (1, g.points)
-    for family in ("abel", "gauss", "poisson", "abel_plus", "abel_minus"):
+    for family in ("abel", "poisson", "abel_plus", "abel_minus"):
         assert KernelSpec(family, 1.0, 1).n == 1
         assert sample_kernel(g, KernelSpec(family, 1.0, 1)).values.shape == (g.size,)
 
@@ -238,7 +238,7 @@ def test_real_samples_stay_float64_and_transforms_are_complex():
     assert sample_function(g, lambda x: np.ones(x.size, dtype=int)).values.dtype == np.float64
     assert sample_function(g, lambda x: np.exp(1j * x)).values.dtype == np.complex128
     assert sample_function(g, lambda x: x + 0j).values.dtype == np.complex128
-    for family in ("abel", "gauss", "poisson", "abel_plus", "abel_minus"):
+    for family in ("abel", "poisson", "abel_plus", "abel_minus"):
         assert sample_kernel(g, KernelSpec(family, 1.0)).values.dtype == np.float64
     # two real factors convolve to real samples; a complex factor, even one
     # with a zero imaginary part, gives complex samples
