@@ -303,10 +303,11 @@ def cauchy_represent(f: SampledFunction, side: str, t: float, x):
 
 
 def poisson_extend(f: SampledFunction, t: float) -> SampledFunction:
-    """Harmonic extension of f to height t, as lattice samples.
+    """Harmonic extension of real samples f to height t, as lattice samples.
 
-    Convolves f with the sampled Poisson kernel at scale t; as t -> 0 the
-    extension returns to f uniformly on any fixed compact window.
+    Convolves f with the sampled Poisson kernel at scale t (complex samples
+    are refused, as by ``convolve``); as t -> 0 the extension returns to f
+    uniformly on any fixed compact window.
     """
     _check_scale(t)
     kernel = sample_kernel(f.grid, KernelSpec("poisson", t))
@@ -321,8 +322,9 @@ def cr_residual(F: Spectrum, z, h: float, evaluator=None) -> float:
     discretization error O(h^2), while any anti-holomorphic contamination
     shows up at size 2|d f/d conj(z)|.
 
-    ``evaluator`` substitutes a different field map z -> value (same
-    domain); by default the side-appropriate spectral evaluation is used.
+    ``evaluator`` substitutes a different field map (same domain): it gets
+    the array [z+h, z-h, z+ih, z-ih] in one call and returns their values.
+    By default the side-appropriate spectral evaluation is used.
     The stencil must fit inside the half-plane: the distance from z to the
     axis must exceed 2h, and z must be finite.
     """
@@ -340,6 +342,8 @@ def cr_residual(F: Spectrum, z, h: float, evaluator=None) -> float:
     if evaluator is None:
         base = evaluate_upper if side == "upper" else evaluate_lower
         evaluator = lambda w: base(F, w)
-    dx = (evaluator(zc + h) - evaluator(zc - h)) / (2.0 * h)
-    dy = (evaluator(zc + 1j * h) - evaluator(zc - 1j * h)) / (2.0 * h)
+    # Python complex arithmetic, as four scalar calls had: numpy rounds complex / real otherwise
+    right, left, up, down = map(complex, evaluator(zc + np.array([h, -h, 1j * h, -1j * h])))
+    dx = (right - left) / (2.0 * h)
+    dy = (up - down) / (2.0 * h)
     return abs(dx + 1j * dy)

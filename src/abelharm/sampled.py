@@ -295,32 +295,8 @@ def integrate(f: SampledFunction) -> complex:
     return f.grid.spacing * complex(_exact_sum(vals.real), im)
 
 
-def _product_spectra(f, g, padded):
-    """Real transforms of the real and imaginary parts of the padded f*g.
-
-    (f_re + i f_im)(g_re + i g_im) = f_re g_re - f_im g_im + i (f_re g_im
-    + f_im g_re).  Only the parts that are not identically zero are
-    transformed, and a product with an identically zero part drops out; a
-    part of f*g with no product left is None.  Real samples have no
-    imaginary part to transform.
-    """
-    def parts(h):
-        vals = h.values
-        halves = (vals.real, vals.imag) if np.iscomplexobj(vals) else (vals, None)
-        return [None if x is None or not x.any() else np.fft.rfft(x, n=padded)
-                for x in halves]
-
-    (f_re, f_im), (g_re, g_im) = parts(f), parts(g)
-    minus_g_im = None if f_im is None or g_im is None else -g_im
-    out = []
-    for terms in (((f_re, g_re), (f_im, minus_g_im)), ((f_re, g_im), (f_im, g_re))):
-        products = [a * b for a, b in terms if a is not None and b is not None]
-        out.append(sum(products[1:], products[0]) if products else None)
-    return out
-
-
 def convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:
-    """Quadrature approximation of the convolution f*g on the shared grid.
+    """Quadrature approximation of the convolution f*g of real samples on the shared grid.
 
     Computed with zero-padded FFTs, which gives the linear (non-circular)
     discrete convolution exactly; the only approximations are the
@@ -330,33 +306,20 @@ def convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:
     wraps the indices 3N/2 .. 2N - 2 onto 0 .. N/2 - 2, all below the
     window, so the window is the linear convolution exactly.
 
-    The transforms are real: each factor splits into its real and
-    imaginary parts, only the parts that are not identically zero are
-    transformed, and the real and imaginary parts of the result come back
-    from the products of those spectra.  Two real factors thus cost three
-    real transforms of length 3N/2, and their convolution is real: float64
-    samples, like its factors.  A complex factor gives complex128 samples,
-    whose imaginary part is exactly zero when no factor has a nonzero
-    imaginary sample.
+    Both factors must be real, so three real transforms of length 3N/2
+    give float64 samples; a complex factor or a different grid raises
+    ValueError.
     """
     if f.grid != g.grid:
         raise ValueError("convolve requires both functions on the same grid")
+    if np.iscomplexobj(f.values) or np.iscomplexobj(g.values):
+        raise ValueError("convolve requires real samples")
     N = f.grid.points
     padded = 3 * N // 2
     # Linear-convolution index j + k maps to lattice point x_j + x_k + R,
     # so the centered window starts at offset N/2.
-    window = slice(N // 2, N // 2 + N)
-    if np.iscomplexobj(f.values) or np.iscomplexobj(g.values):
-        vals = np.zeros(N, dtype=complex)
-        parts = (vals.real, vals.imag)
-    else:
-        # two real factors leave the imaginary part without a spectrum
-        vals = np.zeros(N)
-        parts = (vals,)
-    for part, spectrum in zip(parts, _product_spectra(f, g, padded)):
-        if spectrum is not None:
-            part[...] = np.fft.irfft(spectrum, n=padded)[window]
-    vals *= f.grid.spacing
+    spectrum = np.fft.rfft(f.values, n=padded) * np.fft.rfft(g.values, n=padded)
+    vals = np.fft.irfft(spectrum, n=padded)[N // 2:N // 2 + N] * f.grid.spacing
     return _adopt(SampledFunction, vals, grid=f.grid)
 
 

@@ -152,6 +152,20 @@ def test_damped_inverse_matches_poisson_convolution():
         assert np.max(np.abs(reg - conv.values[iq])) <= 1e-5
 
 
+def test_cauchy_pair_is_the_poisson_convolution_at_the_inversion_points():
+    # the inversion suite reads its Poisson integrals as the sum of the two
+    # Cauchy sides; on the lattice points it reads they are the padded
+    # convolution with the sampled kernel to rounding
+    grid = make_grid(1, 128.0, 81920)
+    f = sample_function(grid, lambda x: np.exp(-math.pi * x * x))
+    xq = np.linspace(-2.0, 2.0, 11)
+    iq = np.round((xq + grid.half_width) / grid.spacing).astype(int)
+    for t in (0.2, 0.1, 0.05):
+        pair = cauchy_represent(f, "upper", t, xq) + cauchy_represent(f, "lower", t, xq)
+        conv = convolve(sample_kernel(grid, KernelSpec("poisson", t, 1)), f)
+        assert np.max(np.abs(pair - conv.values[iq])) <= 1e-13
+
+
 def test_spectral_split_partitions_identity():
     grid = make_grid(1, 40.0, 2 ** 14)
     cases = [

@@ -13,6 +13,7 @@ import pytest
 import abelharm
 from abelharm import SupportSpec, cli, evaluate_field, make_grid, sample_spectrum, summability
 from abelharm.cli import (
+    CRITERIA,
     CheckResult,
     ConfigError,
     ExperimentConfig,
@@ -161,6 +162,39 @@ def test_check_gate_and_override():
     # without a gate of its own, a check takes its criterion's tolerance
     assert (_check(4, "g", 2e-8).tolerance, _check(4, "g", 2e-8).verdict) == (1e-8, "fail")
     assert _check(4, "g", 2e-8, 1e-7).criterion == 4
+
+
+# every gate a check can have, as (criterion, tolerance, lower bound):
+# the criterion tolerances, the explicit upper gates (the 1e-12 identities,
+# the 2e-3 family agreement, the three supporting checks' 1e-8, 1e-6 and
+# 5e-2) and the three lower bounds, each with the criterion it serves
+_GATES = ([(index, tol, False) for index, _, tol, _ in CRITERIA if tol is not None]
+          + [(3, 1e-12, False), (6, 2e-3, False), (None, 1e-8, False), (None, 1e-6, False),
+             (None, 5e-2, False), (11, 3.0, True), (11, 1e-2, True), (12, 1e-6, True)])
+
+
+@pytest.mark.parametrize("criterion, tol, lower", _GATES)
+def test_gates_fail_closed(criterion, tol, lower):
+    # NaN, +-inf and the first value past the gate fail, and so does a
+    # non-finite value passed with ok=True; so does the criterion of each,
+    # next to passing members with the names and gates its detail reads
+    past = np.nextafter(tol, -math.inf if lower else math.inf)
+    others = [CheckResult(name, "pass", 0.0, gate, criterion=criterion)
+              for name, gate in (("transform_identity_pinned_grid", None),
+                                 ("cr_residual_step_scaling", None),
+                                 ("cr_residual_detects_antiholomorphic", None),
+                                 ("growth_bound_rejects_half_type", None),
+                                 ("deterministic_reports", None),
+                                 ("identity", 1e-12), ("agreement", 2e-3))]
+    failing = [(v, None) for v in (math.nan, math.inf, -math.inf, past)]
+    failing += [(v, True) for v in (math.nan, math.inf, -math.inf)]
+    for measured, ok in failing:
+        if ok is None and lower:
+            ok = measured >= tol
+        check = _check(criterion, "gate", measured, tol, ok=ok)
+        assert check.verdict == "fail", (measured, ok)
+        if criterion is not None:
+            assert _outcome([check] + others, criterion).verdict == "fail"
 
 
 def test_criterion_fails_when_any_member_fails():

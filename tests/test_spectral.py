@@ -326,7 +326,7 @@ def test_dual_of_the_dual_is_the_grid_itself():
     assert g.reciprocal() == make_grid(1, 90 / (4.0 * 15.296875), 90)
     assert repr(g.reciprocal()) == "Grid(n=1, half_width=1.4708886618998978, points=90)"
     f = sample_function(g, lambda x: np.exp(-x * x))
-    h = convolve(inverse_ft(forward_ft(f)), f)
+    h = convolve(SampledFunction(g, inverse_ft(forward_ft(f)).values.real), f)
     assert h.grid == g
 
 
