@@ -75,17 +75,18 @@ def measure_real_bound(F: Spectrum, window: float = 50.0) -> float:
 
     B is the largest |f| of the direct sums (:func:`evaluate_entire`) at
     the points ``np.arange(-window, window + 0.005, 0.01)``, bit for bit.
-    When the window has at least as many points as the support, a chirp-z
-    scan (``spectral._chirp_scan``) first evaluates all of them with three
-    FFTs, to within 1e-13 * spacing * sum |F|.  Only the points whose
-    scanned |f| lies within a margin of the scanned maximum are then summed
-    directly.  The margin is 1e-10 * spacing * sum |F|, or 1e-13 * window *
-    max |xi| times that mass where larger, since the direct sums' rounding
-    grows with the phase.  It exceeds twice the disagreement of the scan
-    and the direct sums, so it keeps the point of the direct maximum, and
-    the factored kernel gives that point the same bits in any batch.
-    Shorter windows, the zero spectrum and a scan that is not finite take
-    the direct sums at every point, so errors are raised as before.
+    A chirp-z scan (``spectral._chirp_scan``) first evaluates all of them
+    by FFTs, to within 1e-13 * spacing * sum |F|, whatever the number of
+    points against the support.  Only the points whose scanned |f| lies
+    within a margin of the scanned maximum are then summed directly.  The
+    margin is 1e-10 * spacing * sum |F|, or 1e-13 * window * max |xi|
+    times that mass where larger, since the direct sums' rounding grows
+    with the phase.  It exceeds twice the disagreement of the scan and the
+    direct sums, so it keeps the point of the direct maximum, and the
+    factored kernel gives that point the same bits in any batch.  The
+    zero spectrum keeps every point.  A one-point window, a mass out of
+    range and a scan that is not finite take the direct sums at every
+    point, so errors are raised as before.
     """
     if not 0 < window < math.inf:
         raise ValueError(f"window must be finite and positive, got {window!r}")
@@ -93,7 +94,7 @@ def measure_real_bound(F: Spectrum, window: float = 50.0) -> float:
     xs = np.arange(-window, window + 0.005, 0.01)
     start, stop = _support_range(F.grid, F.support)
     mass = F.grid.spacing * float(np.sum(np.abs(F.values[start:stop])))
-    if xs.size > 1 and xs.size >= stop - start and 0.0 < mass < math.inf:
+    if xs.size > 1 and mass < math.inf:
         scanned = np.abs(_chirp_scan(F, xs[0], xs[1] - xs[0], xs.size))
         if np.all(np.isfinite(scanned)):
             phase = window * max(abs(F.support.a), abs(F.support.b))
@@ -113,12 +114,15 @@ def estimate_type(F: Spectrum, y_samples) -> float:
     decayed the most; an unweighted fit is biased low by roughly
     d(log y)/dy at the small end of the sample.
 
-    Heights at which |f| vanishes, leaving the fit undefined, raise
-    ValueError, and heights at which it overflows OverflowError.
+    Heights that are not finite raise ValueError, as do heights at which
+    |f| vanishes, leaving the fit undefined; heights at which |f|
+    overflows raise OverflowError.
     """
     ys = np.asarray(y_samples, dtype=float)
     if ys.size < 3:
         raise ValueError("need at least 3 height samples")
+    if not np.all(np.isfinite(ys)):
+        raise ValueError(f"heights must be finite, got {ys[~np.isfinite(ys)].tolist()}")
     if np.any(np.diff(ys) <= 0):
         raise ValueError("height samples must be strictly increasing")
     if ys[-1] < 2.0:
@@ -150,8 +154,9 @@ def check_pl_bound(F: Spectrum, sigma: float, B: float, lattice) -> float:
     of f anywhere on it makes the margin NaN.  A ``sigma`` below the
     spectral type 2 pi max(|a|, |b|) warns, since the bound is then
     expected to fail; it stays allowed so that the rejection of an
-    understated type can be demonstrated.  A ceiling B exp(sigma |y|) out
-    of range raises OverflowError naming the height.
+    understated type can be demonstrated.  Heights that are not finite
+    raise ValueError, and a ceiling B exp(sigma |y|) out of range
+    OverflowError naming the height.
     """
     _require_band(F, "check_pl_bound")
     if not math.isfinite(sigma):
@@ -162,6 +167,8 @@ def check_pl_bound(F: Spectrum, sigma: float, B: float, lattice) -> float:
     ys = np.asarray(lattice[1], dtype=float)
     if xs.size == 0 or ys.size == 0:
         raise ValueError("lattice must be nonempty")
+    if not np.all(np.isfinite(ys)):
+        raise ValueError(f"heights must be finite, got {ys[~np.isfinite(ys)].tolist()}")
     type_floor = 2.0 * math.pi * max(abs(F.support.a), abs(F.support.b))
     if sigma < type_floor:
         warnings.warn(

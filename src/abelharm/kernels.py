@@ -134,7 +134,8 @@ def poisson_kernel(n: int, t: float, r):
         # over the quotients, with no mask array, finds whether any is 0
         if np.fmin.reduce(out, axis=None, initial=math.inf) > 0.0:
             return out
-        huge = np.isinf((rv * rv + t * t) ** power)
+        # an infinite r already has its limit 0
+        huge = np.isinf((rv * rv + t * t) ** power) & np.isfinite(rv)
     # c (t/m) / m^n / ((r/m)^2 + (t/m)^2)^power, dividing by m once per
     # power so that no intermediate overflows
     out = np.asarray(out)
@@ -184,7 +185,10 @@ def half_kernel_ft(sign: str, t: float, xi):
         raise ValueError(f"scale {t} is out of range for the half-line kernel "
                          f"transform: its peak 1/(2 pi t) overflows")
     xiv = np.asarray(xi, dtype=float)
-    z = np.asarray(t + 1j * xiv if sign == "+" else t - 1j * xiv)
+    # the limits at +-inf (0) and NaN (NaN) are set at the end, so that
+    # the arithmetic sees finite points only
+    xi_finite = np.where(np.isfinite(xiv), xiv, 0.0)
+    z = np.asarray(t + 1j * xi_finite if sign == "+" else t - 1j * xi_finite)
     with np.errstate(over="ignore"):
         w = np.asarray(2.0 * math.pi * z)
     # numpy's division by w forms w.real + w.imag * (w.imag / w.real),
@@ -193,6 +197,8 @@ def half_kernel_ft(sign: str, t: float, xi):
     w[huge] = 1.0
     out = np.divide(1.0, w, out=w)
     out[huge] = (0.125 / math.pi) / (0.25 * z[huge])
+    out[np.isinf(xiv)] = 0.0
+    out[np.isnan(xiv)] = complex(math.nan, math.nan)
     return out[()]
 
 
@@ -230,13 +236,13 @@ def abel_from_gaussians(t: float, x):
         v = (np.arange(m) + 0.5) * h
         # shape (points, nodes) so each evaluation point integrates its own row
         with np.errstate(over="ignore"):
-            body = np.exp(-v * v - np.atleast_1d(a)[:, None] / (v * v))
+            body = np.exp(-v * v - np.reshape(a, (-1, 1)) / (v * v))
         return (2.0 / math.sqrt(math.pi)) * h * body.sum(axis=1)
 
     fine = midpoint(_GAUSS_NODES)
     coarse = midpoint(_GAUSS_NODES // 2)
     tail = math.exp(-_GAUSS_U_MAX) / math.sqrt(math.pi * _GAUSS_U_MAX)
-    estimate = float(np.max(np.abs(fine - coarse))) + tail
+    estimate = float(np.max(np.abs(fine - coarse), initial=0.0)) + tail
     if not estimate <= 1e-8:
         raise QuadratureBudgetError(
             f"quadrature error estimate {estimate:.3e} exceeds the 1e-8 budget")

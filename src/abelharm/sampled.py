@@ -196,11 +196,6 @@ _GROUP_SHIFTS = np.arange(_GROUP, dtype=np.int64)
 # hence exact; each accumulation runs over cache-sized blocks.
 _CHUNK = 1 << 24
 _BLOCK = 1 << 15
-# A block whose runs of one exponent are _MIN_RUN addends long on average
-# sums each run first and buckets the run sums.  Shorter runs, and addends
-# whose exponent changes at almost every step, such as noise, are bucketed
-# addend by addend.
-_MIN_RUN = 16
 
 
 def _exact_sum(x: np.ndarray) -> float:
@@ -220,16 +215,14 @@ def _exact_sum(x: np.ndarray) -> float:
     returned.  A total out of range raises OverflowError.  Non-finite
     addends go to math.fsum, which defines their result.
 
-    Three things keep it fast without moving a bit, each because every
+    Two things keep it fast without moving a bit, each because every
     partial sum involved is an integer below 2**53:
 
-    - Neighbouring addends of a smooth function share an exponent.  Where
-      a block's runs of one exponent are long, each run is summed first
-      with np.add.reduceat and only the run sums are bucketed.  A run
-      lies inside one block of at most 2**15 addends, so a high run sum
-      is below 2**42 and a low one below 2**41.
-    - A block whose addends are all zero adds nothing and is skipped; the
-      sign of an all-zero sum is settled on the whole array first.
+    - Neighbouring addends of a smooth function share an exponent, so
+      each block's runs of one exponent are summed first with
+      np.add.reduceat and only the run sums are bucketed.  A run lies
+      inside one block of at most 2**15 addends, so a high run sum is
+      below 2**42 and a low one below 2**41.
     - After the high parts are carried onto the low buckets, every bucket
       is below 2**52, so it is cast to int64 exactly, and each group of
       ten buckets v_i is merged into sum v_i * 2**i, below 2**62.  The
@@ -248,27 +241,18 @@ def _exact_sum(x: np.ndarray) -> float:
         # meet in a bucket: both are caught below
         with np.errstate(invalid="ignore"):
             for i in range(start, stop, _BLOCK):
-                block = x[i:min(i + _BLOCK, stop)]
-                if not block.any():
-                    continue
-                m, e = np.frexp(block)
+                m, e = np.frexp(x[i:min(i + _BLOCK, stop)])
                 m *= 2.0 ** 27
                 hi = np.trunc(m)
                 m -= hi
                 m *= 2.0 ** 26
-                # the runs are counted before any index array is built,
-                # so that short runs pay only for this mask
-                first = np.empty(block.size, dtype=bool)
+                first = np.empty(e.size, dtype=bool)
                 first[0] = True
                 np.not_equal(e[1:], e[:-1], out=first[1:])
-                if np.count_nonzero(first) * _MIN_RUN <= block.size:
-                    starts = np.flatnonzero(first)
-                    hi = np.add.reduceat(hi, starts)
-                    m = np.add.reduceat(m, starts)
-                    e = e[starts]
-                b = np.add(e, _EXP_BIAS, dtype=np.intp)
-                high += np.bincount(b, weights=hi, minlength=_BUCKETS)
-                low += np.bincount(b, weights=m, minlength=_BUCKETS)
+                starts = np.flatnonzero(first)
+                b = np.add(e[starts], _EXP_BIAS, dtype=np.intp)
+                high += np.bincount(b, weights=np.add.reduceat(hi, starts), minlength=_BUCKETS)
+                low += np.bincount(b, weights=np.add.reduceat(m, starts), minlength=_BUCKETS)
         if not (np.isfinite(high).all() and np.isfinite(low).all()):
             return math.fsum(x.tolist())
         # low[b] counts units of 2**(b - 1126) and high[b] units of

@@ -77,22 +77,9 @@ class SupportSpec:
         return cls(a, b)
 
     def contains(self, xi: np.ndarray) -> np.ndarray:
-        """Closed-set membership mask; used to validate spectra."""
+        """Closed-set membership mask."""
         xi = np.asarray(xi)
         return (xi >= self.a) & (xi <= self.b)
-
-    def projection_mask(self, xi: np.ndarray) -> np.ndarray:
-        """Partition mask used when splitting a spectrum.
-
-        Differs from :meth:`contains` in one point only: xi = 0 belongs to
-        the nonnegative side, so a support [a, 0] with a < 0 (the
-        nonpositive half-line among them) drops it, and the two half-line
-        projections of any spectrum sum back to it exactly.
-        """
-        mask = self.contains(xi)
-        if self.a < 0.0 and self.b == 0.0:
-            mask &= np.asarray(xi) < 0.0
-        return mask
 
 
 @dataclass(frozen=True)
@@ -347,8 +334,9 @@ def _support_range(grid: Grid, support: SupportSpec, partition: bool = False):
     The axis is nondecreasing, so the points in a closed support are a
     contiguous slice; :func:`_count_below` finds its ends without building
     the axis, and the slice holds exactly the points selected by
-    ``support.contains(grid.axis())`` (``projection_mask`` if
-    ``partition``, which drops xi = 0 from a support [a, 0] with a < 0).
+    ``support.contains(grid.axis())``.  With ``partition``, the rule of
+    :func:`project_spectrum`, a support [a, 0] with a < 0 drops xi = 0,
+    which belongs to the nonnegative side.
     """
     drop_zero = partition and support.a < 0.0 and support.b == 0.0
     return (_count_below(grid, support.a),
@@ -412,8 +400,7 @@ def _turns(c: "Fraction", n: np.ndarray) -> np.ndarray:
     return t - np.floor(t)
 
 
-def _chirp_scan(F: Spectrum, x0: float, step: float, count: int,
-                length: int = _CHIRP_LENGTH) -> np.ndarray:
+def _chirp_scan(F: Spectrum, x0: float, step: float, count: int) -> np.ndarray:
     """``lattice_sum(F, x)`` at the real points x_m = x0 + m step, m < count, by chirp-z.
 
     With x_m xi_k = (x0 + m s)(xi0 + k h) and mk = (m^2 + k^2 - (m - k)^2)/2,
@@ -425,7 +412,7 @@ def _chirp_scan(F: Spectrum, x0: float, step: float, count: int,
     with an integer index below 2**34, reduced modulo one by
     :func:`_turns`, so no phase loses accuracy however large x_m xi_k is.
     The points come in chunks and the weights in blocks, so that the FFT
-    length is at most ``length``.
+    length is at most ``_CHIRP_LENGTH``.
 
     The result agrees with :func:`lattice_sum` at the same points to
     within 1e-13 * spacing * sum |F| where the latter's own rounding,
@@ -444,8 +431,8 @@ def _chirp_scan(F: Spectrum, x0: float, step: float, count: int,
     out = np.zeros(count, dtype=complex)
     if count == 0 or weights.size == 0:
         return out
-    block = min(weights.size, length // 2)
-    size = min(length, 1 << (block + count - 2).bit_length())
+    block = min(weights.size, _CHIRP_LENGTH // 2)
+    size = min(_CHIRP_LENGTH, 1 << (block + count - 2).bit_length())
     span = size - block + 1
     x_first, s, h = Fraction(x0), Fraction(step), Fraction(g.spacing)
     xi_first = Fraction(-g.half_width + g.spacing * start)

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -17,7 +18,7 @@ from abelharm import (
     measure_real_bound,
     sample_spectrum,
 )
-from abelharm.spectral import _support_range
+from abelharm.spectral import _chirp_scan, _support_range
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +103,24 @@ def test_measured_bound_sums_only_the_points_near_the_scanned_maximum(flat_band,
     assert sizes == [1]
 
 
+def test_real_bound_scans_a_window_shorter_than_the_support(monkeypatch):
+    # 101 points against a band of 4 097 weights: one scan, then direct
+    # sums at fewer points than the window holds
+    F = sample_spectrum(make_grid(1, 64.0, 8192).reciprocal(), lambda xi: np.exp(-xi * xi),
+                        SupportSpec.interval(-16.0, 16.0))
+    start, stop = _support_range(F.grid, F.support)
+    assert stop - start == 4097
+    scans, sizes = [], []
+    monkeypatch.setattr(growth, "_chirp_scan",
+                        lambda *args: scans.append(args[3]) or _chirp_scan(*args))
+    monkeypatch.setattr(growth, "evaluate_entire",
+                        lambda F, z: sizes.append(np.size(z)) or evaluate_entire(F, z))
+    B = measure_real_bound(F, 0.5)
+    assert scans == [101] and len(sizes) == 1 and sizes[0] < 101
+    xs = np.arange(-0.5, 0.505, 0.01)
+    assert B.hex() == float(np.max(np.abs(evaluate_entire(F, xs)))).hex()
+
+
 def test_type_estimates(flat_band, half_band):
     assert abs(estimate_type(flat_band, (2.0, 3.0, 4.0, 5.0)) - 2.0 * math.pi) <= 0.3
     assert abs(estimate_type(half_band, (2.0, 3.0, 4.0, 5.0)) - math.pi) <= 0.3
@@ -133,6 +152,18 @@ def test_estimate_type_names_the_heights_where_f_overflows(flat_band):
     # f(iy) overflows from height 113 on; that is no zero of f
     with pytest.raises(OverflowError, match=r"z = \[120j\]"):
         estimate_type(flat_band, (2.0, 50.0, 120.0))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_growth_checks_refuse_a_non_finite_height(flat_band, bad):
+    # refused up front: no warning, no OverflowError, and a NaN does not
+    # pass the order check
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"heights must be finite, got [{bad!r}]")):
+            estimate_type(flat_band, (2.0, 3.0, bad))
+        with pytest.raises(ValueError, match=re.escape(f"heights must be finite, got [{bad!r}]")):
+            check_pl_bound(flat_band, 2.0 * math.pi, 2.0, ([0.0], [0.0, bad]))
 
 
 def test_entire_values_and_envelopes_out_of_range_raise(flat_band):
@@ -233,9 +264,10 @@ def test_zero_spectrum_passes_trivially():
 
 
 # the real-axis bound is the largest direct sum over the window's points,
-# bit for bit, whether the chirp-z scan narrows the points or not: short
-# windows (fewer points than the support), the zero spectrum, and even
-# spectra, whose maxima come in near-tied pairs at +-x
+# bit for bit, however many points the chirp-z scan keeps: short windows,
+# which are scanned too though they have fewer points than the support,
+# the zero spectrum, whose scan keeps every point, and even spectra, whose
+# maxima come in near-tied pairs at +-x
 @given(
     half_width=st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.5, 8.0)),
     half_points=st.integers(2, 400),

@@ -61,7 +61,8 @@ def test_kernels_at_extreme_scales_are_finite():
 
 
 def test_kernels_keep_their_closed_form_bits_at_ordinary_scales():
-    x = np.linspace(-50.0, 50.0, 1001)
+    # -0.0 too, where t + i xi has an imaginary part of +0.0
+    x = np.append(np.linspace(-50.0, 50.0, 1001), -0.0)
     r = np.abs(x)
     for t in (1e-5, 0.3, 1.0, 7.5, 1e3):
         assert abel_kernel(t, x).tobytes() == np.exp(-2.0 * math.pi * t * r).tobytes()
@@ -174,6 +175,25 @@ def test_half_kernels_partition_pointwise():
     assert half_kernel("-", 1.0, 0.0) == 0.0
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_closed_forms_give_their_limits_at_infinity_and_nan(n):
+    # 0 at +-inf and NaN at NaN, with no warning, pointwise and in one
+    # array; the finite points next to them keep their bits
+    x = np.array([-math.inf, math.inf, math.nan])
+    finite = np.array([-0.0, 0.5, -3.0, 1e200, -1e308])
+    forms = [lambda v: abel_kernel(0.5, v), lambda v: poisson_kernel(n, 0.5, v)]
+    forms += [lambda v, s=s: half_kernel(s, 0.5, v) for s in "+-"]
+    forms += [lambda v, s=s: half_kernel_ft(s, 0.5, v) for s in "+-"]
+    for form in forms:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mixed = form(np.append(x, finite))
+            pointwise = np.array([form(v) for v in x])
+        for got in (mixed[:3], pointwise):
+            assert np.all(got[:2] == 0.0) and np.isnan(got[2])
+        assert mixed[3:].tobytes() == form(finite).tobytes()
+
+
 def test_half_kernel_transforms_are_conjugate():
     xi = np.linspace(-5.0, 5.0, 101)
     plus = half_kernel_ft("+", 1.0, xi)
@@ -193,6 +213,15 @@ def test_gaussian_average_scalar_input():
     v = abel_from_gaussians(1.0, 0.5)
     assert isinstance(v, float)
     assert v == pytest.approx(abel_kernel(1.0, 0.5), abs=1e-10)
+
+
+def test_gaussian_average_keeps_the_shape_of_its_points():
+    x = np.array([[0.5, 1.0], [0.0, -2.0]])
+    got = abel_from_gaussians(1.0, x)
+    assert got.shape == (2, 2)
+    assert got.tobytes() == abel_from_gaussians(1.0, x.reshape(-1)).tobytes()
+    for empty in (np.zeros(0), np.zeros((2, 0))):
+        assert abel_from_gaussians(1.0, empty).shape == empty.shape
 
 
 def test_gaussian_average_budget_guard():

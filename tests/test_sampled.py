@@ -448,21 +448,21 @@ def test_exact_sum_across_chunk_and_block_boundaries(monkeypatch, chunk, block):
     cases = [rng.standard_normal(size) * np.exp2(rng.integers(-1074, 1000, size))
              for size in range(0, 3 * chunk + 2 * block + 3)]
     cases += _blockwise_cases(rng, block) + _smooth_cases(block)
-    # a minimum run of 1 sums the runs of every block first, one of 2**20
-    # those of none
-    for min_run in (1, 16, 1 << 20):
-        monkeypatch.setattr(sampled, "_MIN_RUN", min_run)
-        for x in cases:
-            assert _bits(_exact_sum(x)) == _bits(math.fsum(x.tolist()))
+    for x in cases:
+        assert _bits(_exact_sum(x)) == _bits(math.fsum(x.tolist()))
 
 
-# the default block and chunk lengths, with the run sums on, off and at
-# their default cut-off
-@pytest.mark.parametrize("min_run", [1, 16, 1 << 20])
-def test_exact_sum_runs_at_the_default_lengths(monkeypatch, min_run):
-    monkeypatch.setattr(sampled, "_MIN_RUN", min_run)
+# the default block and chunk lengths: long runs, runs of one addend
+# (noise) and runs that hold zeros next to subnormals, and runs of one
+# exponent `run` addends long: one addend, a few, and one run over the
+# whole array, across every block
+@pytest.mark.parametrize("run", [1, 16, 1 << 20])
+def test_exact_sum_runs_at_the_default_lengths(run):
     rng = np.random.default_rng(11)
     n = 3 * sampled._BLOCK + 77
+    exponents = np.repeat(rng.integers(-1020, 1000, n // run + 1), run)[:n]
+    runs = rng.choice([-1.0, 1.0], n) * np.ldexp(rng.uniform(0.5, 1.0, n), exponents)
+    assert np.count_nonzero(np.diff(np.frexp(runs)[1])) <= n // run
     # mixed signs within each run of one exponent, the runs longer than
     # a block
     signs = rng.choice([-1.0, 1.0], n)
@@ -473,7 +473,7 @@ def test_exact_sum_runs_at_the_default_lengths(monkeypatch, min_run):
     tail = np.exp(-math.pi * r * r / 1.15) * np.cos(r)
     binades = np.frexp(tail[tail != 0])[1]
     assert binades.max() - binades.min() > 1000 and np.any(np.abs(tail) < 2.0 ** -1022)
-    for x in (mixed, tail, -tail, tail * 2.0 ** 1000, rng.standard_normal(n)):
+    for x in (runs, mixed, tail, -tail, tail * 2.0 ** 1000, rng.standard_normal(n)):
         assert _bits(_exact_sum(x)) == _bits(math.fsum(x.tolist()))
 
 

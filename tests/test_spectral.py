@@ -19,6 +19,7 @@ from abelharm import (
     project_spectrum,
     sample_function,
     sample_spectrum,
+    spectral,
 )
 from abelharm.spectral import (
     _CHIRP_LENGTH,
@@ -57,16 +58,22 @@ def test_support_spec_validation():
 def test_projection_masks_partition_the_line():
     # both half-lines claim 0 under contains(); the projection gives it to
     # the nonnegative side so the two projections partition every spectrum
-    xi = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-    plus = SupportSpec.nonneg().projection_mask(xi)
-    minus = SupportSpec.nonpos().projection_mask(xi)
+    grid = make_grid(1, 1.5, 6)  # -1.5, -1, -0.5, 0, 0.5, 1
+
+    def projected(support):
+        start, stop = _support_range(grid, support, partition=True)
+        k = np.arange(grid.points)
+        return (start <= k) & (k < stop)
+
+    plus = projected(SupportSpec.nonneg())
+    minus = projected(SupportSpec.nonpos())
     assert not np.any(plus & minus)
     assert np.all(plus | minus)
     # so do the bands [-1, 0] and [0, 1] of [-1, 1]
-    left = SupportSpec.interval(-1.0, 0.0).projection_mask(xi)
-    right = SupportSpec.interval(0.0, 1.0).projection_mask(xi)
-    assert list(left) == [True, True, False, False, False]
-    assert list(left ^ right) == [True] * 5
+    left = projected(SupportSpec.interval(-1.0, 0.0))
+    right = projected(SupportSpec.interval(0.0, 1.0))
+    assert list(left) == [False, True, True, False, False, False]
+    assert list(left ^ right) == [False] + [True] * 5
 
 
 def test_sample_spectrum_halves_boundary_points():
@@ -352,6 +359,15 @@ def _masked_sample(xi, support):
     return vals
 
 
+def _projection_mask(xi, support):
+    # project_spectrum by masks on the axis: the support's points, less
+    # xi = 0 for a support [a, 0] with a < 0
+    mask = support.contains(xi)
+    if support.a < 0.0 and support.b == 0.0:
+        mask &= xi < 0.0
+    return mask
+
+
 def _supports(xi, ends, nudge):
     # every support kind; the interval ends sit on lattice points or a
     # fraction of a step off them
@@ -380,7 +396,7 @@ def test_projection_by_index_range_equals_the_mask(half_points, half_width, ends
     vals[rng.random(freq.points) < 0.2] = -0.0
     F = Spectrum(freq, vals, SupportSpec.full_line())
     for support in _supports(xi, ends, nudge):
-        want = np.where(support.projection_mask(xi), F.values, 0.0 + 0.0j)
+        want = np.where(_projection_mask(xi, support), F.values, 0.0 + 0.0j)
         assert project_spectrum(F, support).values.tobytes() == want.tobytes()
         sampled = sample_spectrum(freq, lambda x: np.exp(-x * x) + 1j * x, support)
         assert sampled.values.tobytes() == _masked_sample(xi, support).tobytes()
@@ -459,7 +475,9 @@ def test_chirp_scan_matches_the_factored_kernel(half_width, half_points, ends, s
     F = _random_band(np.random.default_rng(seed), half_width, 2 * half_points, ends)
     x0, dx = start * 2.0 ** -10, step * 2.0 ** -12
     xs = x0 + dx * np.arange(count)
-    got = _chirp_scan(F, x0, dx, count, length=length)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "_CHIRP_LENGTH", length)
+        got = _chirp_scan(F, x0, dx, count)
     want = lattice_sum(F, xs)
     mass = F.grid.spacing * np.sum(np.abs(F.values))
     # the scan's bound, plus the factored kernel's own rounding of phases
