@@ -49,7 +49,6 @@ from .summability import (
     summability_verdict,
 )
 from .halfplane import (
-    HalfPlaneField,
     cauchy_represent,
     cr_residual,
     evaluate_field,
@@ -96,7 +95,6 @@ __all__ = [
     "abel_mean_radial",
     "gauss_mean",
     "summability_verdict",
-    "HalfPlaneField",
     "cauchy_represent",
     "cr_residual",
     "evaluate_field",

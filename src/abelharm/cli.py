@@ -47,7 +47,6 @@ from .growth import (
     measure_real_bound,
 )
 from .halfplane import (
-    HalfPlaneField,
     cauchy_represent,
     cr_residual,
     evaluate_field,
@@ -207,8 +206,8 @@ def _render_table(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _field_table(fld: HalfPlaneField):
-    # row-major over (y, x): x varies fastest
+def _field_table(fld):
+    # evaluate_field's record, row-major over (y, x): x varies fastest
     return ("x", "y", "re", "im"), [(x, y, v.real, v.imag)
                                     for y, row in zip(fld.y_lattice, fld.values)
                                     for x, v in zip(fld.x_lattice, row)]

@@ -31,6 +31,21 @@ def _require_band(F: Spectrum, what: str) -> None:
         raise ValueError(f"{what} requires a bounded interval support")
 
 
+def _lattice(values, what: str) -> np.ndarray:
+    """``values`` as a finite 1-D float array; otherwise ValueError naming ``what``."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError(f"{what} must be a 1-D array, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} must be finite, got {arr[~np.isfinite(arr)].tolist()}")
+    return arr
+
+
+# the most points at step 0.01 that measure_real_bound takes: the points and
+# the scan's output grow with the window, to gigabytes at a window of 1e6
+_REAL_POINTS = 1 << 17
+
+
 def evaluate_entire(F: Spectrum, z):
     """Entire extension of an interval-supported spectrum.
 
@@ -71,7 +86,9 @@ def measure_real_bound(F: Spectrum, window: float = 50.0) -> float:
     Stand-in for the supremum over the whole line; band-limited functions
     attain their near-sup within a modest window, and tests confirm the
     measured value stabilizes as the window grows.  The window must be
-    finite and positive.
+    finite and positive, and may hold at most 131 072 points at step 0.01
+    (a half-width of at most about 655); a longer window raises ValueError
+    before any point is built.
 
     B is the largest |f| of the direct sums (:func:`evaluate_entire`) at
     the points ``np.arange(-window, window + 0.005, 0.01)``, bit for bit.
@@ -90,6 +107,9 @@ def measure_real_bound(F: Spectrum, window: float = 50.0) -> float:
     """
     if not 0 < window < math.inf:
         raise ValueError(f"window must be finite and positive, got {window!r}")
+    count = math.ceil((window + 0.005 + window) / 0.01)  # the length of xs below
+    if count > _REAL_POINTS:
+        raise ValueError(f"window {window!r} holds {count} points, more than {_REAL_POINTS}")
     _require_band(F, "entire evaluation")
     xs = np.arange(-window, window + 0.005, 0.01)
     start, stop = _support_range(F.grid, F.support)
@@ -114,15 +134,13 @@ def estimate_type(F: Spectrum, y_samples) -> float:
     decayed the most; an unweighted fit is biased low by roughly
     d(log y)/dy at the small end of the sample.
 
-    Heights that are not finite raise ValueError, as do heights at which
-    |f| vanishes, leaving the fit undefined; heights at which |f|
-    overflows raise OverflowError.
+    Heights that are not a finite 1-D array raise ValueError, as do
+    heights at which |f| vanishes, leaving the fit undefined; heights at
+    which |f| overflows raise OverflowError.
     """
-    ys = np.asarray(y_samples, dtype=float)
+    ys = _lattice(y_samples, "heights")
     if ys.size < 3:
         raise ValueError("need at least 3 height samples")
-    if not np.all(np.isfinite(ys)):
-        raise ValueError(f"heights must be finite, got {ys[~np.isfinite(ys)].tolist()}")
     if np.any(np.diff(ys) <= 0):
         raise ValueError("height samples must be strictly increasing")
     if ys[-1] < 2.0:
@@ -154,21 +172,19 @@ def check_pl_bound(F: Spectrum, sigma: float, B: float, lattice) -> float:
     of f anywhere on it makes the margin NaN.  A ``sigma`` below the
     spectral type 2 pi max(|a|, |b|) warns, since the bound is then
     expected to fail; it stays allowed so that the rejection of an
-    understated type can be demonstrated.  Heights that are not finite
-    raise ValueError, and a ceiling B exp(sigma |y|) out of range
-    OverflowError naming the height.
+    understated type can be demonstrated.  x values or heights that are
+    not a finite 1-D array raise ValueError, and a ceiling B exp(sigma |y|)
+    out of range OverflowError naming the height.
     """
     _require_band(F, "check_pl_bound")
     if not math.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {sigma!r}")
     if not (math.isfinite(B) and B >= 0):
         raise ValueError(f"B must be finite and >= 0, got {B!r}")
-    xs = np.asarray(lattice[0], dtype=float)
-    ys = np.asarray(lattice[1], dtype=float)
+    xs = _lattice(lattice[0], "x values")
+    ys = _lattice(lattice[1], "heights")
     if xs.size == 0 or ys.size == 0:
         raise ValueError("lattice must be nonempty")
-    if not np.all(np.isfinite(ys)):
-        raise ValueError(f"heights must be finite, got {ys[~np.isfinite(ys)].tolist()}")
     type_floor = 2.0 * math.pi * max(abs(F.support.a), abs(F.support.b))
     if sigma < type_floor:
         warnings.warn(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import KernelSpec, sample_kernel
-from .sampled import SampledFunction, _check_scale, convolve
+from .sampled import SampledFunction, _check_scale, _finite_points, convolve
 from .spectral import (
     Spectrum,
     SupportSpec,
@@ -28,7 +28,6 @@ from .spectral import (
 )
 
 __all__ = [
-    "HalfPlaneField",
     "hardy_split",
     "evaluate_upper",
     "evaluate_lower",
@@ -41,33 +40,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HalfPlaneField:
-    """Function values on a rectangle of points in a closed half-plane.
-
-    ``values[i, j]`` is the value at x_lattice[j] + 1j * y_lattice[i].
-    """
+    """What :func:`evaluate_field` returns: ``values[i, j]`` is the value at
+    x_lattice[j] + 1j * y_lattice[i] in the closed half-plane ``side``."""
 
     x_lattice: np.ndarray
     y_lattice: np.ndarray
     values: np.ndarray
     side: str
 
-    def __post_init__(self):
-        xs = np.asarray(self.x_lattice, dtype=float)
-        ys = np.asarray(self.y_lattice, dtype=float)
-        vals = np.asarray(self.values, dtype=complex)
-        if self.side not in ("upper", "lower"):
-            raise ValueError(f"side must be 'upper' or 'lower', got {self.side!r}")
-        if self.side == "upper" and not np.all(ys >= 0):
-            raise ValueError("upper field requires all heights nonnegative")
-        if self.side == "lower" and not np.all(ys <= 0):
-            raise ValueError("lower field requires all heights nonpositive")
-        if vals.shape != (ys.size, xs.size):
-            raise ValueError(
-                f"values must have shape ({ys.size}, {xs.size}), got {vals.shape}"
-            )
-        object.__setattr__(self, "x_lattice", xs)
-        object.__setattr__(self, "y_lattice", ys)
-        object.__setattr__(self, "values", vals)
+
+# the sign of Im z on each side: the upper and lower statements differ by it alone
+_SIGNS = {"upper": 1.0, "lower": -1.0}
+
+
+def _side_sign(side: str) -> float:
+    """+1.0 for the upper side and -1.0 for the lower; any other side raises."""
+    try:
+        return _SIGNS[side]
+    except (KeyError, TypeError):
+        raise ValueError(f"side must be 'upper' or 'lower', got {side!r}") from None
 
 
 def hardy_split(f: SampledFunction):
@@ -105,16 +96,10 @@ def _require_side(F: Spectrum, side: str | None = None) -> str:
 def _evaluate_side(F: Spectrum, z, side: str):
     _require_side(F, side)
     zs = np.asarray(z, dtype=complex)
-    if side == "upper":
-        wrong = zs.imag < 0.0
-        label = "upper half-plane (Im z >= 0)"
-    else:
-        wrong = zs.imag > 0.0
-        label = "lower half-plane (Im z <= 0)"
-    if np.any(wrong):
+    if np.any(_side_sign(side) * zs.imag < 0.0):
         # The integrand exp(2 pi i z xi) grows without bound on the wrong
         # side, so this is a domain error rather than a value to report.
-        raise ValueError(f"evaluation point must lie in the {label}")
+        raise ValueError(f"evaluation point must lie in the closed {side} half-plane")
     return lattice_sum(F, zs)
 
 
@@ -262,14 +247,11 @@ def cauchy_represent(f: SampledFunction, side: str, t: float, x):
     independent oracle for the half-plane extension.
     """
     _check_scale(t)
-    if side not in ("upper", "lower"):
-        raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
-    xs = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("evaluation points must be finite")
+    sign = _side_sign(side)
+    xs = _finite_points(x, float)
     g, block = f.grid, _CAUCHY_BLOCK
     pts = xs.reshape(-1)
-    y = t if side == "upper" else -t
+    y = sign * t
     whole = g.points // block
     half = 0.5 * block * g.spacing
     centres = -g.half_width + g.spacing * (block * np.arange(-(-g.points // block))
@@ -295,8 +277,8 @@ def cauchy_represent(f: SampledFunction, side: str, t: float, x):
     # i (re + i im) above the axis and -i (re + i im) below
     scale = g.spacing / (2.0 * math.pi)
     out = np.empty(pts.size, dtype=complex)
-    out.real = total_im * (-scale if side == "upper" else scale)
-    out.imag = total_re * (scale if side == "upper" else -scale)
+    out.real = total_im * (-sign * scale)
+    out.imag = total_re * (sign * scale)
     if xs.ndim == 0:
         return complex(out[0])
     return out.reshape(xs.shape)
@@ -331,17 +313,14 @@ def cr_residual(F: Spectrum, z, h: float, evaluator=None) -> float:
     if not h > 0:
         raise ValueError(f"step must be positive, got {h}")
     side = _require_side(F)
-    zc = complex(z)
-    if not np.isfinite(zc):
-        raise ValueError("evaluation point must be finite")
-    margin = zc.imag if side == "upper" else -zc.imag
+    zc = complex(_finite_points(z, complex))
+    margin = _side_sign(side) * zc.imag
     if not margin > 2.0 * h:
         raise ValueError(
             f"stencil of step {h} does not fit: boundary margin is {margin:.3g}"
         )
     if evaluator is None:
-        base = evaluate_upper if side == "upper" else evaluate_lower
-        evaluator = lambda w: base(F, w)
+        evaluator = lambda w: _evaluate_side(F, w, side)
     # Python complex arithmetic, as four scalar calls had: numpy rounds complex / real otherwise
     right, left, up, down = map(complex, evaluator(zc + np.array([h, -h, 1j * h, -1j * h])))
     dx = (right - left) / (2.0 * h)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampled import Grid, SampledFunction, _adopt, _check_scale
+from .sampled import Grid, SampledFunction, _adopt, _check_scale, _finite_points
 
 __all__ = [
     "KernelSpec",
@@ -221,9 +221,7 @@ def abel_from_gaussians(t: float, x):
     do not.
     """
     _check_scale(t)
-    r = np.abs(np.asarray(x, dtype=float))
-    if not np.all(np.isfinite(r)):
-        raise ValueError("evaluation points must be finite")
+    r = np.abs(_finite_points(x, float))
     # exponent scale; the integrand is exp(-v^2 - a/v^2).  An a or a/v^2
     # that overflows is a weight of 0, and where pi t overflows, t r is
     # formed first, so that r = 0 keeps a = 0 (see _abel_exponent)

@@ -169,6 +169,14 @@ def _check_scale(t) -> None:
         raise ValueError(f"scale must be finite and positive, got {t}")
 
 
+def _finite_points(x, dtype) -> np.ndarray:
+    """Evaluation points ``x`` as an array of ``dtype``; one that is not finite raises."""
+    xs = np.asarray(x, dtype=dtype)
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("evaluation points must be finite")
+    return xs
+
+
 def make_grid(n: int, half_width: float, points: int) -> Grid:
     """Build a validated uniform grid on [-half_width, half_width)."""
     return Grid(n, float(half_width), points)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampled import Grid, SampledFunction, _adopt, _check_scale
+from .sampled import Grid, SampledFunction, _adopt, _check_scale, _finite_points
 
 __all__ = [
     "SupportSpec",
@@ -276,11 +276,9 @@ def _factored_sum(xi0: float, step: float, weights: np.ndarray, z, scale: float)
     a complex, an array the array of its shape.  A sum that overflows
     raises OverflowError naming the points where it does.
     """
-    zs = np.asarray(z, dtype=complex)
+    zs = _finite_points(z, complex)
     shape = zs.shape
     zs = zs.ravel()
-    if not np.all(np.isfinite(zs)):
-        raise ValueError("evaluation points must be finite")
     weights = np.asarray(weights, dtype=complex)
     block = _block_size(weights.size)
     n_blocks = -(-weights.size // block)

@@ -12,6 +12,7 @@ identity holds once the grid is refined.
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -269,8 +270,8 @@ def test_type_estimates_within_gate():
 
 @pytest.fixture(scope="module")
 def full_runs(tmp_path_factory):
-    """Two ``--suite all`` runs in subprocesses: their output directories,
-    results and the wall time of both."""
+    """Two ``--suite all`` runs in subprocesses, with every warning an
+    error: their output directories, results and the wall time of both."""
     t0 = time.perf_counter()
     outs, results = [], []
     for tag in ("a", "b"):
@@ -279,6 +280,7 @@ def full_runs(tmp_path_factory):
             [sys.executable, "-m", "abelharm.cli", "run", "--suite", "all",
              "--out", str(out)],
             capture_output=True, text=True, timeout=280,
+            env={**os.environ, "PYTHONWARNINGS": "error"},
         ))
         outs.append(out)
     return outs, results, time.perf_counter() - t0
@@ -288,6 +290,7 @@ def test_reports_are_deterministic(full_runs):
     outs, results, elapsed = full_runs
     for res in results:
         assert res.returncode == 0, res.stderr + res.stdout[-2000:]
+        assert res.stderr == ""
         assert "poisson_normalization n=1 t=1: pass" in res.stdout
     a, b = outs
     csvs = sorted(p.relative_to(a) for p in a.rglob("*.csv"))

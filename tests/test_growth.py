@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -164,6 +165,23 @@ def test_growth_checks_refuse_a_non_finite_height(flat_band, bad):
             estimate_type(flat_band, (2.0, 3.0, bad))
         with pytest.raises(ValueError, match=re.escape(f"heights must be finite, got [{bad!r}]")):
             check_pl_bound(flat_band, 2.0 * math.pi, 2.0, ([0.0], [0.0, bad]))
+        with pytest.raises(ValueError, match=re.escape(f"x values must be finite, got [{bad!r}]")):
+            check_pl_bound(flat_band, 2.0 * math.pi, 2.0, ([0.0, bad], [0.0]))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), ()])
+def test_growth_checks_refuse_a_lattice_that_is_not_1d(flat_band, shape):
+    # refused by name and shape: a 2-D array of heights would otherwise
+    # reach numpy's "truth value ... is ambiguous" or a scalar conversion,
+    # and a 2-D x lattice would give a margin
+    bad = np.arange(2.0, 2.0 + math.prod(shape)).reshape(shape)
+    for what, call in (
+        ("heights", lambda: estimate_type(flat_band, bad)),
+        ("heights", lambda: check_pl_bound(flat_band, 2.0 * math.pi, 2.0, ([0.0], bad))),
+        ("x values", lambda: check_pl_bound(flat_band, 2.0 * math.pi, 2.0, (bad, [0.0, 1.0]))),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"{what} must be a 1-D array, got shape {shape}")):
+            call()
 
 
 def test_entire_values_and_envelopes_out_of_range_raise(flat_band):
@@ -224,6 +242,26 @@ def test_pl_bound_names_the_height_where_the_ceiling_overflows(flat_band):
 def test_measured_bound_needs_a_finite_positive_window(flat_band, window):
     with pytest.raises(ValueError, match=f"window must be finite and positive, got {window!r}"):
         measure_real_bound(flat_band, window)
+
+
+def test_real_bound_refuses_a_window_of_too_many_points(flat_band):
+    # 2e8 points and the scan's output would take gigabytes: the window is
+    # refused before any point is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape("window 1000000.0 holds 200000001 points, more than 131072")):
+            measure_real_bound(flat_band, 1e6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # 655.3575 is the longest window that fits, at 131 072 points
+    with pytest.raises(ValueError, match="holds 131073 points"):
+        measure_real_bound(flat_band, 655.36)
+    xs = np.arange(-655.3575, 655.3575 + 0.005, 0.01)
+    assert xs.size == 131072
+    want = float(np.max(np.abs(evaluate_entire(flat_band, xs))))
+    assert measure_real_bound(flat_band, 655.3575).hex() == want.hex()
 
 
 def test_pl_bound_keeps_a_nan_row_wherever_it_stands(flat_band, monkeypatch):
