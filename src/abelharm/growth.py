@@ -11,10 +11,10 @@ axis, and measures how far a point lattice stays below B * exp(sigma |y|).
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
+from .sampled import _lattice
 from .spectral import Spectrum, _chirp_scan, _support_range, lattice_sum
 
 __all__ = [
@@ -29,16 +29,6 @@ __all__ = [
 def _require_band(F: Spectrum, what: str) -> None:
     if not (math.isfinite(F.support.a) and math.isfinite(F.support.b)):
         raise ValueError(f"{what} requires a bounded interval support")
-
-
-def _lattice(values, what: str) -> np.ndarray:
-    """``values`` as a finite 1-D float array; otherwise ValueError naming ``what``."""
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"{what} must be a 1-D array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} must be finite, got {arr[~np.isfinite(arr)].tolist()}")
-    return arr
 
 
 # the most points at step 0.01 that measure_real_bound takes: the points and
@@ -170,11 +160,11 @@ def check_pl_bound(F: Spectrum, sigma: float, B: float, lattice) -> float:
     (x_values, y_values) spanning the rectangle of test points.  The bound
     holds on the lattice exactly when the margin is at most 0; a NaN value
     of f anywhere on it makes the margin NaN.  A ``sigma`` below the
-    spectral type 2 pi max(|a|, |b|) warns, since the bound is then
-    expected to fail; it stays allowed so that the rejection of an
-    understated type can be demonstrated.  x values or heights that are
-    not a finite 1-D array raise ValueError, and a ceiling B exp(sigma |y|)
-    out of range OverflowError naming the height.
+    spectral type 2 pi max(|a|, |b|) is allowed, so that the rejection of
+    an understated type can be demonstrated; the margin shows by how much
+    the bound then fails.  x values or heights that are not a finite 1-D
+    array raise ValueError, and a ceiling B exp(sigma |y|) out of range
+    OverflowError naming the height.
     """
     _require_band(F, "check_pl_bound")
     if not math.isfinite(sigma):
@@ -185,14 +175,6 @@ def check_pl_bound(F: Spectrum, sigma: float, B: float, lattice) -> float:
     ys = _lattice(lattice[1], "heights")
     if xs.size == 0 or ys.size == 0:
         raise ValueError("lattice must be nonempty")
-    type_floor = 2.0 * math.pi * max(abs(F.support.a), abs(F.support.b))
-    if sigma < type_floor:
-        warnings.warn(
-            f"sigma={sigma:.6g} is below the spectral type {type_floor:.6g}; "
-            f"the bound is expected to fail",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     ceilings = []
     for y in ys:
         try:

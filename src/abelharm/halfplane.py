@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import KernelSpec, sample_kernel
-from .sampled import SampledFunction, _check_scale, _finite_points, convolve
+from .sampled import SampledFunction, _check_scale, _finite_points, _lattice, convolve
 from .spectral import (
     Spectrum,
     SupportSpec,
@@ -126,11 +126,11 @@ def evaluate_lower(F: Spectrum, z):
 def evaluate_field(F: Spectrum, x_values, y_values) -> HalfPlaneField:
     """Evaluate a one-sided spectrum on a rectangle of points in its closed half-plane.
 
-    The whole rectangle goes to the kernel in one call.
+    The whole rectangle goes to the kernel in one call.  x values or
+    heights that are not a finite 1-D array raise ValueError.
     """
     side = _require_side(F)
-    xs = np.asarray(x_values, dtype=float)
-    ys = np.asarray(y_values, dtype=float)
+    xs, ys = _lattice(x_values, "x values"), _lattice(y_values, "heights")
     z = np.empty((ys.size, xs.size), dtype=complex)
     z.real, z.imag = xs, ys[:, None]
     return HalfPlaneField(xs, ys, _evaluate_side(F, z, side), side)

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "SPHERE_MEASURE",
     "Grid",
     "SampledFunction",
     "make_grid",
@@ -29,9 +28,9 @@ __all__ = [
 
 # Surface measure of the unit sphere S^{n-1}.  The n = 1 entry is the
 # counting measure of {-1, +1}, so that
-# integral over R^n = integral_0^inf SPHERE_MEASURE[n] * r^(n-1) * f(r) dr
+# integral over R^n = integral_0^inf _SPHERE_MEASURE[n] * r^(n-1) * f(r) dr
 # holds for radial f in every supported dimension.
-SPHERE_MEASURE = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
+_SPHERE_MEASURE = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
 
 @dataclass(frozen=True)
@@ -175,6 +174,16 @@ def _finite_points(x, dtype) -> np.ndarray:
     if not np.all(np.isfinite(xs)):
         raise ValueError("evaluation points must be finite")
     return xs
+
+
+def _lattice(values, what: str) -> np.ndarray:
+    """``values`` as a finite 1-D float array; otherwise ValueError naming ``what``."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError(f"{what} must be a 1-D array, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} must be finite, got {arr[~np.isfinite(arr)].tolist()}")
+    return arr
 
 
 def make_grid(n: int, half_width: float, points: int) -> Grid:
@@ -329,8 +338,9 @@ _EXP_SINH = (np.exp(_DE_S), _DE_DS * np.exp(_DE_S))
 def radial_integrate(profile, n: int) -> float:
     """Integral of a radial function over R^n by the exp-sinh rule.
 
-    Evaluates integral_0^inf SPHERE_MEASURE[n] * r**(n-1) * profile(r) dr
-    where ``profile`` maps an array of radii to an array of values; it is
+    Evaluates integral_0^inf |S^(n-1)| * r**(n-1) * profile(r) dr, with
+    |S^(n-1)| the measure of the unit sphere (2 on the line), where
+    ``profile`` maps an array of radii to an array of values; it is
     called once, on all 769 nodes.  Used for the closed-form radial checks
     in dimensions 2 and 3, where a full lattice would be wasteful; also
     available for n = 1.
@@ -341,11 +351,11 @@ def radial_integrate(profile, n: int) -> float:
     ValueError.  The weighted values are summed exactly, so the result
     does not depend on their order.
     """
-    if n not in SPHERE_MEASURE:
+    if n not in _SPHERE_MEASURE:
         raise ValueError(f"dimension must be 1, 2 or 3, got {n}")
     r, weight = _EXP_SINH
     with np.errstate(over="ignore"):
-        integrand = SPHERE_MEASURE[n] * r ** (n - 1) * profile(r)
+        integrand = _SPHERE_MEASURE[n] * r ** (n - 1) * profile(r)
     terms = integrand * weight
     if not np.all(np.isfinite(terms)):
         raise ValueError("radial integrand must be finite")

@@ -1,6 +1,8 @@
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import tracemalloc
@@ -25,6 +27,26 @@ from abelharm.cli import (
     main,
     run,
 )
+
+
+def test_package_exports_exactly_each_module_all():
+    # the package namespace is its modules' __all__, star-imported; a name
+    # that a later module shadowed would not be its home module's object,
+    # and tracing rebinds the package's names by identity
+    names = abelharm.__all__
+    assert len(names) == len(set(names))
+    modules = {m.name: importlib.import_module(f"abelharm.{m.name}")
+               for m in pkgutil.iter_modules(abelharm.__path__)}
+    for mod in modules.values():
+        assert not [n for n in mod.__all__ if n.startswith("_")], mod.__name__
+    homes = {n: mod for key, mod in modules.items() if key != "cli" for n in mod.__all__}
+    assert set(names) == set(homes) | {"__version__"}
+    for n, mod in homes.items():
+        assert getattr(abelharm, n) is getattr(mod, n), n
+    namespace = {}
+    exec("from abelharm import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(names)
 
 
 def test_config_defaults_valid():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -109,6 +110,19 @@ def test_evaluate_field_reaches_the_axis(small_upper_spectrum):
     # a height below the axis is still outside an upper field
     with pytest.raises(ValueError, match="upper half-plane"):
         evaluate_field(small_upper_spectrum, xs, [-0.5, 0.0])
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (1, 4)])
+def test_evaluate_field_refuses_a_lattice_that_is_not_1d(small_upper_spectrum, shape):
+    # a (2, 2) lattice would reach numpy's broadcast error, and a (1, 4)
+    # one a record whose table keeps one of its four x values
+    bad = np.arange(4.0).reshape(shape)
+    for what, call in (
+        ("x values", lambda: evaluate_field(small_upper_spectrum, bad, [0.5, 1.0])),
+        ("heights", lambda: evaluate_field(small_upper_spectrum, [0.0, 1.0], bad)),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"{what} must be a 1-D array, got shape {shape}")):
+            call()
 
 
 def test_cauchy_kernel_lattice_mass_is_half():
