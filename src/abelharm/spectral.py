@@ -59,10 +59,6 @@ class SupportSpec:
         object.__setattr__(self, "b", b)
 
     @classmethod
-    def full_line(cls):
-        return cls()
-
-    @classmethod
     def nonneg(cls):
         """Support contained in [0, inf)."""
         return cls(a=0.0)
@@ -71,10 +67,6 @@ class SupportSpec:
     def nonpos(cls):
         """Support contained in (-inf, 0]."""
         return cls(b=0.0)
-
-    @classmethod
-    def interval(cls, a: float, b: float):
-        return cls(a, b)
 
     def contains(self, xi: np.ndarray) -> np.ndarray:
         """Closed-set membership mask."""
@@ -181,7 +173,7 @@ def forward_ft(f: SampledFunction) -> Spectrum:
     """
     return f._derived("spectrum", lambda: _adopt(
         Spectrum, _centred_dft(f.values, f.grid.spacing, inverse=False),
-        grid=f.grid.reciprocal(), support=SupportSpec.full_line()))
+        grid=f.grid.reciprocal(), support=SupportSpec()))
 
 
 def inverse_ft(F: Spectrum) -> SampledFunction:

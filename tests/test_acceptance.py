@@ -223,7 +223,7 @@ def test_cr_residual_certifies_holomorphy(exp_spectrum):
 def test_growth_bound_verdicts():
     grid = make_grid(1, 2.0, 2048)
     band = sample_spectrum(grid, lambda xi: np.ones_like(xi),
-                           SupportSpec.interval(-1.0, 1.0))
+                           SupportSpec(-1.0, 1.0))
     xs = np.linspace(-5.0, 5.0, 21)
     ys = np.linspace(-3.0, 3.0, 13)
     B = measure_real_bound(band)
@@ -241,9 +241,9 @@ def test_growth_bound_verdicts():
 def test_envelope_dominates_lattice():
     grid = make_grid(1, 2.0, 2048)
     spectra = [
-        sample_spectrum(grid, lambda xi: np.ones_like(xi), SupportSpec.interval(-1.0, 1.0)),
-        sample_spectrum(grid, lambda xi: np.ones_like(xi), SupportSpec.interval(0.0, 0.5)),
-        sample_spectrum(grid, lambda xi: 1.0 - np.abs(xi), SupportSpec.interval(-1.0, 1.0)),
+        sample_spectrum(grid, lambda xi: np.ones_like(xi), SupportSpec(-1.0, 1.0)),
+        sample_spectrum(grid, lambda xi: np.ones_like(xi), SupportSpec(0.0, 0.5)),
+        sample_spectrum(grid, lambda xi: 1.0 - np.abs(xi), SupportSpec(-1.0, 1.0)),
     ]
     xs = np.linspace(-5.0, 5.0, 21)
     ys = np.linspace(-3.0, 3.0, 13)
@@ -257,9 +257,9 @@ def test_envelope_dominates_lattice():
 def test_type_estimates_within_gate():
     grid = make_grid(1, 2.0, 2048)
     band = sample_spectrum(grid, lambda xi: np.ones_like(xi),
-                           SupportSpec.interval(-1.0, 1.0))
+                           SupportSpec(-1.0, 1.0))
     half = sample_spectrum(grid, lambda xi: np.ones_like(xi),
-                           SupportSpec.interval(0.0, 0.5))
+                           SupportSpec(0.0, 0.5))
     heights = (2.0, 3.0, 4.0, 5.0)
     assert abs(estimate_type(band, heights) - 2.0 * math.pi) <= 0.3
     assert abs(estimate_type(half, heights) - math.pi) <= 0.3

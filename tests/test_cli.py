@@ -11,6 +11,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import abelharm
 from abelharm import SupportSpec, cli, evaluate_field, make_grid, sample_spectrum, summability
@@ -103,7 +104,8 @@ def test_run_growth_bundle(tmp_path):
     assert mirror["result"] == "PASS"
     assert len(mirror["checks"]) == len(bundle.checks)
     manifest = json.loads((root / "manifest.json").read_text())
-    assert "timings_seconds" in manifest
+    # configuration, versions and timings; the counts live in summary.json
+    assert set(manifest) == {"config", "versions", "timings_seconds"}
     assert manifest["config"]["suite"] == "growth"
 
 
@@ -159,6 +161,15 @@ def test_main_flag_beats_env(tmp_path, monkeypatch):
     assert not (tmp_path / "env").exists()
 
 
+def test_main_refuses_an_empty_out_flag_even_with_env(tmp_path, monkeypatch, capsys):
+    # the flag beats the environment when given, even empty, and an empty
+    # output directory is a configuration error
+    monkeypatch.setenv("ABELHARM_OUT", str(tmp_path / "env"))
+    assert main(["run", "--suite", "growth", "--out", ""]) == 2
+    assert capsys.readouterr().err.startswith("error: output_dir '' is not writable")
+    assert not (tmp_path / "env").exists()
+
+
 def test_summary_states_timing_location(tmp_path):
     # timings must never appear in tables or the summary; the manifest is
     # the single home so reruns stay byte-identical
@@ -199,15 +210,10 @@ _GATES = ([(index, tol, False) for index, _, tol, _ in CRITERIA if tol is not No
 def test_gates_fail_closed(criterion, tol, lower):
     # NaN, +-inf and the first value past the gate fail, and so does a
     # non-finite value passed with ok=True; so does the criterion of each,
-    # next to passing members with the names and gates its detail reads
+    # next to passing members with and without gates of their own
     past = np.nextafter(tol, -math.inf if lower else math.inf)
-    others = [CheckResult(name, "pass", 0.0, gate, criterion=criterion)
-              for name, gate in (("transform_identity_pinned_grid", None),
-                                 ("cr_residual_step_scaling", None),
-                                 ("cr_residual_detects_antiholomorphic", None),
-                                 ("growth_bound_rejects_half_type", None),
-                                 ("deterministic_reports", None),
-                                 ("identity", 1e-12), ("agreement", 2e-3))]
+    others = [CheckResult(f"passing gate={gate}", "pass", 0.0, gate, criterion=criterion)
+              for gate in (None, 1e-12, 2e-3)]
     failing = [(v, None) for v in (math.nan, math.inf, -math.inf, past)]
     failing += [(v, True) for v in (math.nan, math.inf, -math.inf)]
     for measured, ok in failing:
@@ -239,7 +245,9 @@ def test_criterion_is_expected_fail_when_a_member_is_and_none_fails():
     out = _outcome(checks, 2)
     assert out.verdict == "expected-fail"
     assert out.measured == 2.5e-5
-    assert out.detail == "grid R=40 N=16384; aliasing floor"
+    # both members are gated at the criterion's tolerance, so the detail is
+    # the row's text alone; the floor stays on its check's line
+    assert out.detail == CRITERIA[1][3]
     checks = [
         CheckResult("abel_limit witness=gauss", "expected-fail", 1e-4, 1e-3, criterion=6),
         CheckResult("abel_gauss_agreement witness=gauss", "pass", 1e-4, 2e-3, criterion=6),
@@ -258,7 +266,7 @@ def test_criterion_without_members_is_not_run():
 
 def test_criterion_measures_the_worst_member_at_its_tolerance():
     # criterion 11 gates at 1e-5; its step-scaling (gate 3) and conjugate
-    # (gate 1e-2) members enter only the detail
+    # (gate 1e-2) members enter only the detail, each with its gate
     checks = [
         CheckResult("cr_residual_holomorphic", "pass", 2e-8, 1e-5, criterion=11),
         CheckResult("cr_residual_step_scaling", "pass", 4.0, 3.0, criterion=11),
@@ -266,7 +274,8 @@ def test_criterion_measures_the_worst_member_at_its_tolerance():
     ]
     out = _outcome(checks, 11)
     assert (out.verdict, out.measured, out.tolerance) == ("pass", 2e-8, 1e-5)
-    assert out.detail == "step scaling 4x, conjugate witness residual 0.08"
+    assert out.detail == ("central differences at z=i; cr_residual_step_scaling 4 vs 3; "
+                          "cr_residual_detects_antiholomorphic 0.08 vs 0.01")
     checks = [
         CheckResult("half_line_transform sign=+", "pass", 3e-5, 1e-4, criterion=3),
         CheckResult("half_line_transform sign=-", "pass", 1e-5, 1e-4, criterion=3),
@@ -275,7 +284,8 @@ def test_criterion_measures_the_worst_member_at_its_tolerance():
     ]
     out = _outcome(checks, 3)
     assert (out.measured, out.tolerance) == (3e-5, 1e-4)
-    assert out.detail.endswith("identities at 1e-16")
+    assert out.detail == ("lattice vs closed form on |xi| <= 4; half_line_conjugacy_identity "
+                          "5e-17 vs 1e-12; half_line_sum_identity 1e-16 vs 1e-12")
     # a member that measured NaN makes the criterion's value NaN, wherever
     # it stands among the members
     for values in ((1e-9, math.nan), (math.nan, 1e-9)):
@@ -286,10 +296,40 @@ def test_criterion_measures_the_worst_member_at_its_tolerance():
         assert out.verdict == "fail" and math.isnan(out.measured)
 
 
-def test_criterion_fifteen_reads_the_verdict_of_its_member():
-    for verdict, word in (("pass", "true"), ("fail", "false")):
-        out = _outcome([CheckResult("deterministic_reports", verdict, criterion=15)], 15)
-        assert (out.verdict, out.detail) == (verdict, f"wall time within budget: {word}")
+_members = st.lists(st.builds(
+    CheckResult,
+    name=st.text(max_size=8),
+    verdict=st.sampled_from(("pass", "fail", "expected-fail")),
+    measured=st.none() | st.floats(),
+    tolerance=st.none() | st.sampled_from([row[2] for row in CRITERIA]) | st.floats(),
+    criterion=st.none() | st.integers(1, 15),
+), max_size=12)
+
+
+@given(_members)
+def test_criteria_derive_every_outcome_from_any_member_set(checks):
+    # no member set makes the summary raise, whatever the members' names,
+    # values and gates: each outcome follows from its members alone
+    outcomes = _criteria(checks)
+    assert [c.index for c in outcomes] == list(range(1, 16))
+    for (index, slug, tol, text), out in zip(CRITERIA, outcomes):
+        members = [c for c in checks if c.criterion == index]
+        assert (out.index, out.name) == (index, slug)
+        if not members:
+            assert (out.verdict, out.measured, out.tolerance, out.detail) == ("not-run", None, None, "")
+            continue
+        verdicts = {c.verdict for c in members}
+        assert out.verdict == next(v for v in ("fail", "expected-fail", "pass") if v in verdicts)
+        assert out.tolerance == tol
+        gated = [c.measured for c in members if c.tolerance == tol and c.measured is not None]
+        if any(math.isnan(v) for v in gated):
+            assert math.isnan(out.measured)
+        else:
+            assert out.measured == max(gated, default=None)
+        # the row's text, then each member with a value and a gate of its own
+        apart = [f"{c.name} {c.measured:.6g} vs {c.tolerance:.6g}" for c in members
+                 if c.measured is not None and c.tolerance is not None and c.tolerance != tol]
+        assert out.detail == "; ".join([text] + apart)
 
 
 def test_unconverged_means_fail_criterion_six_through_their_checks(tmp_path, monkeypatch):

@@ -26,25 +26,25 @@ from abelharm.spectral import _chirp_scan, _support_range
 def flat_band():
     g = make_grid(1, 2.0, 2048)
     return sample_spectrum(g, lambda xi: np.ones_like(xi),
-                           SupportSpec.interval(-1.0, 1.0))
+                           SupportSpec(-1.0, 1.0))
 
 
 @pytest.fixture(scope="module")
 def half_band():
     g = make_grid(1, 2.0, 2048)
     return sample_spectrum(g, lambda xi: np.ones_like(xi),
-                           SupportSpec.interval(0.0, 0.5))
+                           SupportSpec(0.0, 0.5))
 
 
 def test_requires_interval_support():
     g = make_grid(1, 2.0, 256)
-    F = sample_spectrum(g, lambda xi: np.exp(-xi * xi), SupportSpec.full_line())
+    F = sample_spectrum(g, lambda xi: np.exp(-xi * xi), SupportSpec())
     with pytest.raises(ValueError):
         envelope_bound(F, 1.0)
     with pytest.raises(ValueError):
         estimate_type(F, (2.0, 3.0, 4.0))
     # a half-line declared as an interval is still unbounded
-    half = sample_spectrum(g, lambda xi: np.exp(-xi * xi), SupportSpec.interval(0.0, math.inf))
+    half = sample_spectrum(g, lambda xi: np.exp(-xi * xi), SupportSpec(0.0, math.inf))
     for call in (lambda: envelope_bound(half, -1.0), lambda: evaluate_entire(half, 1j),
                  lambda: check_pl_bound(half, 1.0, 1.0, ([0.0], [1.0]))):
         with pytest.raises(ValueError, match="bounded interval support"):
@@ -108,7 +108,7 @@ def test_real_bound_scans_a_window_shorter_than_the_support(monkeypatch):
     # 101 points against a band of 4 097 weights: one scan, then direct
     # sums at fewer points than the window holds
     F = sample_spectrum(make_grid(1, 64.0, 8192).reciprocal(), lambda xi: np.exp(-xi * xi),
-                        SupportSpec.interval(-16.0, 16.0))
+                        SupportSpec(-16.0, 16.0))
     start, stop = _support_range(F.grid, F.support)
     assert stop - start == 4097
     scans, sizes = [], []
@@ -140,7 +140,7 @@ def test_estimate_type_names_the_heights_where_f_vanishes(monkeypatch):
     # the zero field vanishes at every height, however they are moved: one
     # evaluation per direction, then a refusal
     zero = sample_spectrum(make_grid(1, 2.0, 256), lambda xi: np.zeros_like(xi),
-                           SupportSpec.interval(-1.0, 1.0))
+                           SupportSpec(-1.0, 1.0))
     calls = []
     monkeypatch.setattr(growth, "evaluate_entire",
                         lambda F, z: calls.append(z) or evaluate_entire(F, z))
@@ -281,7 +281,7 @@ def test_pl_bound_evaluates_the_lattice_in_one_call(flat_band, monkeypatch):
 def test_zero_spectrum_passes_trivially():
     g = make_grid(1, 2.0, 256)
     F = sample_spectrum(g, lambda xi: np.zeros_like(xi),
-                        SupportSpec.interval(-1.0, 1.0))
+                        SupportSpec(-1.0, 1.0))
     xs = np.linspace(-1.0, 1.0, 3)
     ys = np.linspace(-1.0, 1.0, 3)
     B = measure_real_bound(F)
@@ -312,7 +312,7 @@ def test_real_bound_is_the_direct_maximum_bit_for_bit(half_width, half_points, e
     rng = np.random.default_rng(seed)
     freq = make_grid(1, half_width, 2 * half_points).reciprocal()
     c = max(abs(e) for e in ends)
-    support = SupportSpec.interval(*sorted(ends)) if kind == "random" else SupportSpec.interval(-c, c)
+    support = SupportSpec(*sorted(ends)) if kind == "random" else SupportSpec(-c, c)
     start, stop = _support_range(freq, support)
     vals = np.zeros(freq.points, dtype=complex)
     if kind == "random":

@@ -120,7 +120,7 @@ def test_lower_half_line_stays_finite_far_below_the_axis():
     assert abs(got - want) <= 1e-15
 
 
-def test_phase_sum_accepts_descending_lattice():
+def test_factored_sum_accepts_descending_lattice():
     rng = np.random.default_rng(5)
     xi = 1.0 - 0.01 * np.arange(300)
     w = _random_weights(rng, 300)
@@ -133,7 +133,7 @@ def test_phase_sum_accepts_descending_lattice():
 def test_points_do_not_depend_on_their_batch():
     # each point's bits are the same alone, in a batch, and in any order
     g = make_grid(1, 2.0, 2048)
-    F = sample_spectrum(g, lambda xi: 1.0 - np.abs(xi), SupportSpec.interval(-1.0, 1.0))
+    F = sample_spectrum(g, lambda xi: 1.0 - np.abs(xi), SupportSpec(-1.0, 1.0))
     z = np.linspace(-3.0, 3.0, 7) + 1j * np.linspace(-2.0, 2.0, 7)
     batch = evaluate_entire(F, z)
     reversed_batch = evaluate_entire(F, z[::-1])[::-1]
@@ -149,7 +149,7 @@ def test_batches_of_the_product_do_not_change_the_bits(monkeypatch):
     from abelharm import spectral
 
     g = make_grid(1, 2.0, 2048)
-    F = sample_spectrum(g, lambda xi: 1.0 - np.abs(xi), SupportSpec.interval(-1.0, 1.0))
+    F = sample_spectrum(g, lambda xi: 1.0 - np.abs(xi), SupportSpec(-1.0, 1.0))
     z = np.linspace(-5.0, 5.0, 97) + 0.5j
     whole = evaluate_entire(F, z)
     monkeypatch.setattr(spectral, "_TABLE_ENTRIES", 8 * 33)
@@ -171,10 +171,10 @@ def test_lattice_sum_takes_exactly_the_points_in_range(half_points, half_width, 
     xi = freq.axis()
     k = np.arange(freq.points)
     lo, hi = (-freq.half_width + freq.spacing * (e + nudge) for e in sorted(ends))
-    for support in (SupportSpec.interval(lo, hi), SupportSpec.interval(lo, math.inf),
-                    SupportSpec.interval(-math.inf, hi), SupportSpec.nonneg(),
-                    SupportSpec.nonpos(), SupportSpec.full_line()):
-        F = Spectrum(freq, 1.0 + 1j * k, SupportSpec.full_line())
+    for support in (SupportSpec(lo, hi), SupportSpec(lo, math.inf),
+                    SupportSpec(-math.inf, hi), SupportSpec.nonneg(),
+                    SupportSpec.nonpos(), SupportSpec()):
+        F = Spectrum(freq, 1.0 + 1j * k, SupportSpec())
         # redeclared without zeroing the values outside it, so that a
         # point summed outside the support would show in the readback
         object.__setattr__(F, "support", support)
@@ -189,8 +189,8 @@ def spectra():
     return {
         "upper": sample_spectrum(g, lambda xi: np.exp(-2.0 * math.pi * xi), SupportSpec.nonneg()),
         "lower": sample_spectrum(g, lambda xi: np.exp(2.0 * math.pi * xi), SupportSpec.nonpos()),
-        "full": sample_spectrum(g, lambda xi: np.exp(-np.abs(xi)), SupportSpec.full_line()),
-        "band": sample_spectrum(g, np.ones_like, SupportSpec.interval(-1.0, 1.0)),
+        "full": sample_spectrum(g, lambda xi: np.exp(-np.abs(xi)), SupportSpec()),
+        "band": sample_spectrum(g, np.ones_like, SupportSpec(-1.0, 1.0)),
     }
 
 
@@ -222,7 +222,7 @@ def test_lower_entries_reject_non_finite_points(spectra, bad):
 
 
 @pytest.mark.parametrize("bad", UPPER_NON_FINITE + LOWER_NON_FINITE)
-def test_entire_and_phase_sum_reject_non_finite_points(spectra, bad):
+def test_entire_and_factored_sum_reject_non_finite_points(spectra, bad):
     with pytest.raises(ValueError, match="finite"):
         evaluate_entire(spectra["band"], np.array([0.0, bad]))
     with pytest.raises(ValueError, match="finite"):
@@ -250,7 +250,7 @@ _THREADING_PROBE = textwrap.dedent("""
               for side, t in (("upper", 0.5), ("upper", 1.0), ("lower", 0.5))]
     small = make_grid(1, 100.0, 2 ** 14)
     extension = poisson_extend(sample_kernel(small, KernelSpec("poisson", 1.0, 1)), 0.5).values
-    band = sample_spectrum(make_grid(1, 2.0, 2048), np.ones_like, SupportSpec.interval(-1.0, 1.0))
+    band = sample_spectrum(make_grid(1, 2.0, 2048), np.ones_like, SupportSpec(-1.0, 1.0))
     xs, ys = np.linspace(-5.0, 5.0, 21), np.linspace(-3.0, 3.0, 13)
     entire = evaluate_entire(band, xs[None, :] + 1j * ys[:, None])
     axis = evaluate_entire(band, np.arange(-50.0, 50.005, 0.01))
