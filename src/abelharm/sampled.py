@@ -215,6 +215,22 @@ _CHUNK = 1 << 24
 _BLOCK = 1 << 15
 
 
+def _nonzero_span(vals: np.ndarray) -> tuple[int, int]:
+    """The index range [lo, hi) outside which every entry of ``vals`` is zero.
+
+    O(1) when both end entries are nonzero; otherwise one pass for the
+    nonzero mask.  No nonzero entry gives the empty range (0, 0).
+    """
+    n = vals.size
+    if n == 0 or (vals[0] != 0 and vals[-1] != 0):
+        return 0, n
+    nonzero = vals != 0
+    lo = int(nonzero.argmax())
+    if not nonzero[lo]:
+        return 0, 0
+    return lo, n - int(nonzero[::-1].argmax())
+
+
 def _exact_sum(x: np.ndarray) -> float:
     """Correctly rounded sum of a real float64 array, equal to ``math.fsum``.
 
@@ -230,7 +246,10 @@ def _exact_sum(x: np.ndarray) -> float:
     ``math.fsum(x.tolist())`` with one difference: math.fsum raises on an
     intermediate overflow, while here a representable exact total is
     returned.  A total out of range raises OverflowError.  Non-finite
-    addends go to math.fsum, which defines their result.
+    addends go to math.fsum, which defines their result.  Zero addends
+    change an exact sum only when every addend is zero, so only the span
+    between the first and the last nonzero addend is summed; an array of
+    zeros alone takes math.fsum's rule for the sign of their sum.
 
     Two things keep it fast without moving a bit, each because every
     partial sum involved is an integer below 2**53:
@@ -246,9 +265,11 @@ def _exact_sum(x: np.ndarray) -> float:
       Python int then takes one shift and add per nonzero group.
     """
     x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if not x.any():
+    lo, hi = _nonzero_span(x)
+    if lo == hi:
         # only zeros: the sign of their sum is math.fsum's to decide
         return math.fsum([-0.0] if x.size and np.signbit(x).all() else [])
+    x = x[lo:hi]
     total = 0
     for start in range(0, x.size, _CHUNK):
         stop = min(start + _CHUNK, x.size)

@@ -9,13 +9,21 @@ and estimates the limit along the decreasing scales :data:`SCALES`.
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import _abel_exponent, _gauss_exponent, abel_kernel
-from .sampled import Grid, SampledFunction, _check_scale, _exact_sum, radial_integrate
+from .sampled import (
+    Grid,
+    SampledFunction,
+    _check_scale,
+    _exact_sum,
+    _nonzero_span,
+    radial_integrate,
+)
 
 __all__ = [
     "SCALES",
@@ -32,6 +40,9 @@ __all__ = [
 # extrapolated estimator.
 SCALES = tuple(0.1 * 0.5 ** k for k in range(12))
 _CONVERGENCE_TOL = 1e-3
+# np.exp gives +0.0 at and below this exponent: exp(-746) ~ 1.3e-324 is
+# below 2**-1075, half the least subnormal, so the means never compute it
+_EXP_FLOOR = -746.0
 
 
 @dataclass(frozen=True)
@@ -49,35 +60,40 @@ class SummabilityReport:
     residual: float
 
 
-def _nonzero_span(vals: np.ndarray) -> tuple[int, int]:
-    """The index range [lo, hi) outside which every sample is zero.
+def _window(exponent, r: np.ndarray, lo: int, hi: int) -> tuple[int, int]:
+    """The index range [a, b) of the span [lo, hi) where exponent(r) >= _EXP_FLOOR.
 
-    O(1) when both end samples are nonzero; otherwise one pass for the
-    nonzero mask.  All-zero samples give the empty range (0, 0).
+    The radii ``r`` of a lattice fall to the point nearest the origin,
+    index r.size // 2, and rise after it, and ``exponent`` is
+    non-increasing in the radius, so the exponents rise up to that point,
+    clamped into the span, and fall after it.  Each edge costs one call
+    when the span's end is kept, else a bisection; no mask is built.
     """
-    if vals[0] != 0 and vals[-1] != 0:
-        return 0, vals.size
-    nonzero = vals != 0
-    lo = int(nonzero.argmax())
-    if not nonzero[lo]:
-        return 0, 0
-    return lo, vals.size - int(nonzero[::-1].argmax())
+    if lo == hi:
+        return lo, hi
+    top = min(max(r.size // 2, lo), hi - 1)
+
+    def kept(x):
+        return exponent(x) >= _EXP_FLOOR
+
+    a = lo if kept(r[lo]) else bisect.bisect_left(r, True, lo, top, key=kept)
+    b = hi if kept(r[hi - 1]) else bisect.bisect_left(r, True, top, hi, key=lambda x: not kept(x))
+    return a, b
 
 
-def _span_sum(part: np.ndarray, products: np.ndarray, lo: int, hi: int) -> float:
-    """Exact sum over the lattice of part times finite nonnegative weights.
+def _span_sum(part: np.ndarray, products: np.ndarray, a: int, b: int) -> float:
+    """Exact sum over the lattice of part times weights that are +0.0 outside [a, b).
 
-    ``products`` holds the products on [lo, hi), outside which ``part`` is
-    zero.  A zero times such a weight is a zero of the same sign, so the
-    products outside are the samples themselves, and zeros change an
-    exact sum only when it is zero: then it is summed over the whole
-    lattice, where the sign of a sum of zeros is decided as the
-    full-length sum would decide it.
+    ``products`` holds the products on [a, b).  Outside it each product is
+    part * 0.0, a zero of the sample's sign, and zeros change an exact sum
+    only when it is zero: then they are summed with the products, so the
+    sign of a sum of zeros is decided as the full-length sum would decide
+    it.
     """
     total = _exact_sum(products)
     if total:
         return total
-    return _exact_sum(np.concatenate((part[:lo], products, part[hi:])))
+    return _exact_sum(np.concatenate((part[:a] * 0.0, products, part[b:] * 0.0)))
 
 
 def _weighted_mean(h: SampledFunction, exponent) -> complex:
@@ -85,24 +101,31 @@ def _weighted_mean(h: SampledFunction, exponent) -> complex:
 
     Any bounded h is acceptable here: the kernel factor supplies the
     integrability that plain quadrature would have to assume.
-    ``exponent`` maps radii to a fresh array of exponents, each at most 0
-    and none NaN.  The sums are exact, so independent of summation order,
-    and zero addends do not change them: only the span where the samples
-    are nonzero is weighted, multiplied and summed, and the result has the
-    bits of the full-length sum.  The span is found once per sample array
-    and kept with it, not once per mean.  Real samples have no
-    imaginary part; the sum of its zeros would be +0.0.
+    ``exponent`` maps radii to exponents, a fresh array for an array of
+    radii, each at most 0 and none NaN, and is non-increasing in the
+    radius.  The sums are exact, so independent
+    of summation order, and zero addends do not change them.  Only the
+    window where the samples are nonzero and the exponent is at least
+    :data:`_EXP_FLOOR` is weighted, multiplied and summed: outside it a
+    product is a zero sample or a weight that underflows to +0.0, and the
+    result has the bits of the full-length sum.  The subnormal weights
+    above the floor stay, since they can decide a rounding.  The
+    nonzero span is found once per sample array and kept with it, not
+    once per mean.  Real samples have no imaginary part; the sum of its
+    zeros would be +0.0.
     """
     vals = h.values
     lo, hi = h._derived("span", lambda: _nonzero_span(vals))
-    weights = exponent(_radii(h.grid)[lo:hi])
+    r = _radii(h.grid)
+    a, b = _window(exponent, r, lo, hi)
+    weights = exponent(r[a:b])
     np.exp(weights, out=weights)
     im = 0.0
     if np.iscomplexobj(vals):
-        im = _span_sum(vals.imag, vals.imag[lo:hi] * weights, lo, hi)
+        im = _span_sum(vals.imag, vals.imag[a:b] * weights, a, b)
     # the last use of the weights: the real products overwrite them
-    weights *= vals.real[lo:hi]
-    re = _span_sum(vals.real, weights, lo, hi)
+    weights *= vals.real[a:b]
+    re = _span_sum(vals.real, weights, a, b)
     return h.grid.spacing * complex(re, im)
 
 

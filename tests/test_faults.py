@@ -8,6 +8,8 @@ reruns one suite and pins the exact set of criteria that fail.  The hardy
 suite's criteria 8-11 have no row here: each of its reruns takes 1-2 s.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,9 @@ _FAULTS = {
     "poisson_constant_high": (kernels, "_POISSON_CONSTANT",
                               lambda c: {n: v * (1 + 1e-5) for n, v in c.items()}),
     "subordination_high": (kernels, "abel_from_gaussians", _scaled(1 + 1e-7)),
+    # c_2 = Gamma(3/2) / pi^(3/2) = 1/(2 pi), taken with Gamma(1) instead
+    "poisson_constant_c2_gamma": (kernels, "_POISSON_CONSTANT",
+                                  lambda c: {**c, 2: 1.0 / math.pi ** 1.5}),
     "half_kernel_ft_conjugated": (kernels, "half_kernel_ft",
                                   lambda f: lambda *args: np.conjugate(f(*args))),
     "convolve_high": (sampled, "convolve", lambda f: lambda a, b: SampledFunction(
@@ -30,6 +35,7 @@ _FAULTS = {
     "scales_doubled": (summability, "SCALES", lambda scales: tuple(2 * t for t in scales)),
     "damped_inverse_rescaled": (spectral, "abel_regularized_inverse",
                                 lambda f: lambda F, t, x: f(F, 1.0001 * t, x)),
+    "exp_floor_raised": (summability, "_EXP_FLOOR", lambda floor: -700.0),
     "envelope_low": (growth, "envelope_bound", _scaled(0.99)),
     "type_high": (growth, "estimate_type", lambda f: lambda *args: f(*args) + 0.5),
 }
@@ -40,11 +46,17 @@ _ROWS = [
     # the witnesses' limits and both damped paths scale with c_n alike
     ("poisson_constant_high", "summability", set()),
     ("poisson_constant_high", "inversion", set()),
+    ("poisson_constant_c2_gamma", "kernels", {1}),
+    ("poisson_constant_c2_gamma", "summability", {6}),
     ("subordination_high", "kernels", {4}),
     # the conjugacy and sum identities hold for the conjugated pair too
     ("half_kernel_ft_conjugated", "kernels", {3}),
     ("convolve_high", "kernels", {5}),
     ("scales_doubled", "summability", {6}),
+    # the weights between e^-746 and e^-700 are dropped, which moves no
+    # mean of the suite past a gate; tier-1's
+    # test_weights_that_underflow_to_subnormals_still_count catches it
+    ("exp_floor_raised", "summability", set()),
     ("damped_inverse_rescaled", "inversion", {7}),
     ("envelope_low", "growth", {12, 13}),
     ("type_high", "growth", {14}),

@@ -394,6 +394,22 @@ def test_exact_sum_of_cancelling_terms(xs, rnd):
     assert _bits(_exact_sum(np.array(terms, dtype=float))) == _bits(0.0)
 
 
+_zeros = st.lists(st.sampled_from([0.0, -0.0]), max_size=40)
+
+
+@given(_zeros, st.lists(_wide_floats, max_size=30), _zeros, st.booleans())
+def test_exact_sum_of_a_core_between_zero_ends(head, core, tail, cancelling):
+    # only the span between the first and the last nonzero addend is
+    # summed; zero ends of either sign, around a core that may cancel to
+    # exactly 0 or be empty (an array of zeros alone), keep math.fsum's bits
+    if cancelling:
+        core = core + [-v for v in core]
+    xs = head + core + tail
+    _assert_sum_matches_fsum(xs)
+    if cancelling and any(core):
+        assert _bits(_exact_sum(np.array(xs, dtype=float))) == _bits(0.0)
+
+
 @pytest.mark.parametrize("xs", [
     [1.0, 2.0 ** -53],                       # tie, rounds to even 1.0
     [1.0 + 2.0 ** -52, 2.0 ** -53],          # tie, rounds up to even

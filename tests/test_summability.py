@@ -242,6 +242,72 @@ def test_means_equal_the_full_length_sums_bit_for_bit(half_points, half_width, t
         assert np.array([got]).tobytes() == np.array([want]).tobytes()
 
 
+@pytest.mark.parametrize("x", [summability._EXP_FLOOR,
+                               np.nextafter(summability._EXP_FLOOR, -math.inf),
+                               -1e300, -math.inf])
+def test_exp_underflows_to_zero_at_and_below_the_floor(x):
+    # the means compute no weight below the floor: numpy must give +0.0
+    # there, as correct rounding does (exp(-746) < 2**-1075)
+    assert np.array([np.exp(x)]).tobytes() == np.array([0.0]).tobytes()
+
+
+@pytest.mark.parametrize("mean, scale", [(abel_mean, 740.0 / (2.0 * math.pi * 10.0)),
+                                         (gauss_mean, math.sqrt(740.0 / math.pi) / 10.0)],
+                         ids=["abel", "gauss"])
+def test_weights_that_underflow_to_subnormals_still_count(mean, scale):
+    # samples of 1e300 at every radius >= 10, zero inside: the exponent is
+    # about -740 at radius 10, below -746 from the next point out, so the
+    # only nonzero products come from subnormal weights, and they decide
+    # the mean
+    g = make_grid(1, 50.0, 400)
+    r = np.abs(g.axis())
+    h = SampledFunction(g, np.where(r >= 10.0, 1e300, 0.0))
+    exponent = {abel_mean: -2.0 * math.pi * scale * r,
+                gauss_mean: -math.pi * (scale * scale) * r * r}[mean]
+    edge = exponent[r == 10.0]
+    assert np.all((-746.0 < edge) & (edge < -708.0)) and edge.size == 2
+    assert np.all(exponent[r > 10.0] < -746.0)
+    got, want = mean(h, scale), _full_length_mean(h, np.exp(exponent))
+    assert got != 0.0
+    assert np.array([got]).tobytes() == np.array([want]).tobytes()
+
+
+# a lattice of 400 points on [-50, 50), index 200 at the origin, whose
+# exponents fall below the floor beyond radius ~20 (indices 120 and 280)
+@pytest.mark.parametrize("lo, hi", [
+    (0, 400),      # both ends of the span below the floor
+    (10, 390),
+    (130, 270),    # both ends above it
+    (100, 250),    # one end on each side of the floor
+    (150, 300),
+    (200, 400),    # the origin is the span's first point
+    (0, 201),      # ... its last point
+    (200, 201),    # ... its only point
+    (0, 100),      # the whole span below the floor, on either side
+    (300, 400),
+])
+def test_window_edges_keep_the_full_length_bits(lo, hi):
+    g = make_grid(1, 50.0, 400)
+    r = np.abs(g.axis())
+    rng = np.random.default_rng(lo * 1000 + hi)
+    vals = np.zeros(g.size, dtype=complex)
+    vals[lo:hi] = rng.standard_normal(hi - lo) + 1j * rng.standard_normal(hi - lo)
+    vals[[lo, hi - 1]] = 1.0 - 1.0j
+    for h in (SampledFunction(g, vals), SampledFunction(g, vals.real)):
+        for mean, scale, exponent in (
+                (abel_mean, 5.94, lambda t, r: -2.0 * math.pi * t * r),
+                (gauss_mean, 0.77, lambda s, r: -math.pi * (s * s) * r * r)):
+            e = exponent(scale, r)
+            # the window is the part of the span above the floor
+            kept = np.flatnonzero(e[lo:hi] >= summability._EXP_FLOOR) + lo
+            window = summability._window(lambda x: exponent(scale, x), _radii(g), lo, hi)
+            assert window[1] - window[0] == kept.size
+            if kept.size:
+                assert window == (kept[0], kept[-1] + 1)
+            got, want = mean(h, scale), _full_length_mean(h, np.exp(e))
+            assert np.array([got]).tobytes() == np.array([want]).tobytes()
+
+
 _fsum = math.fsum
 
 
