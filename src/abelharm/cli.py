@@ -29,6 +29,7 @@ import math
 import os
 import sys
 import time
+import traceback
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -225,11 +226,6 @@ def _g(x: float) -> str:
 # suites
 
 
-def _window(grid, half_width: float):
-    """Index range of the lattice points with |x| <= half_width, as a mask would select them."""
-    return _support_range(grid, SupportSpec(-half_width, half_width))
-
-
 def _transform_error(grid, family: str, closed_form):
     """Lattice transform of the unit 1-D kernel of ``family`` against its closed form.
 
@@ -237,7 +233,7 @@ def _transform_error(grid, family: str, closed_form):
     closed form on them, and the largest error in the window.
     """
     F = forward_ft(sample_kernel(grid, KernelSpec(family, 1.0, 1)))
-    start, stop = _window(F.grid, 4.0)
+    start, stop = _support_range(F.grid, SupportSpec(-4.0, 4.0))
     xi = F.grid._axis_range(start, stop)
     lattice, exact = F.values[start:stop], closed_form(xi)
     return xi, lattice, exact, float(np.max(np.abs(lattice - exact)))
@@ -327,7 +323,7 @@ def _run_kernels():
     grid_semi = make_grid(1, 200.0, 2 ** 16)
     p1 = sample_kernel(grid_semi, KernelSpec("poisson", 1.0, 1))
     conv = convolve(p1, p1)
-    start, stop = _window(grid_semi, 10.0)
+    start, stop = _support_range(grid_semi, SupportSpec(-10.0, 10.0))
     xs, cs = grid_semi._axis_range(start, stop), conv.values[start:stop]
     target = poisson_kernel(1, 2.0, xs)
     rel = np.abs(cs - target) / target
@@ -708,8 +704,9 @@ def _summary_text(suite: str, checks, criteria, failed: int, expected: int) -> s
 def run(config: ExperimentConfig) -> ReportBundle:
     """Execute the configured suite(s) and write the report bundle.
 
-    Returns the bundle; the caller decides the process exit status from
-    ``bundle.failed``.
+    A suite that raises gives one failing check, ``suite_error <suite>``,
+    and its traceback on stderr; the other suites still run.  Returns the
+    bundle; the caller decides the process exit status from ``bundle.failed``.
     """
     out = config.output_dir
     try:
@@ -727,7 +724,13 @@ def run(config: ExperimentConfig) -> ReportBundle:
     t_start = time.perf_counter()
     for name in selected:
         t0 = time.perf_counter()
-        suite_checks, suite_tables = _SUITE_FN[name]()
+        try:
+            suite_checks, suite_tables = _SUITE_FN[name]()
+        except Exception as exc:
+            traceback.print_exc()
+            suite_checks = [CheckResult(f"suite_error {name}", "fail",
+                                        detail=f"{type(exc).__name__}: {exc}")]
+            suite_tables = {}
         timings[name] = time.perf_counter() - t0
         checks.extend(suite_checks)
         tables.update(suite_tables)

@@ -48,6 +48,17 @@ def evaluate_entire(F: Spectrum, z):
     return lattice_sum(F, z)
 
 
+def _exp_bound(what: str, scale: float, exponent: float, y) -> float:
+    """scale * exp(exponent), or OverflowError naming ``what`` and the height y."""
+    try:
+        bound = scale * math.exp(exponent)
+    except OverflowError:
+        bound = math.inf
+    if bound == math.inf:
+        raise OverflowError(f"{what} overflows at height {float(y)!r}")
+    return bound
+
+
 def envelope_bound(F: Spectrum, y: float) -> float:
     """Uniform-in-x bound on |f(x + iy)| from the spectrum alone.
 
@@ -61,13 +72,7 @@ def envelope_bound(F: Spectrum, y: float) -> float:
         raise ValueError(f"height must be finite, got {y!r}")
     mass = F.grid.spacing * float(np.sum(np.abs(F.values)))
     a, b = F.support.a, F.support.b
-    try:
-        bound = mass * math.exp(max(-2.0 * math.pi * a * y, -2.0 * math.pi * b * y))
-    except OverflowError:
-        bound = math.inf
-    if bound == math.inf:
-        raise OverflowError(f"envelope overflows at height {y!r}")
-    return bound
+    return _exp_bound("envelope", mass, max(-2.0 * math.pi * a * y, -2.0 * math.pi * b * y), y)
 
 
 def measure_real_bound(F: Spectrum, window: float = 50.0) -> float:
@@ -175,15 +180,7 @@ def check_pl_bound(F: Spectrum, sigma: float, B: float, lattice) -> float:
     ys = _lattice(lattice[1], "heights")
     if xs.size == 0 or ys.size == 0:
         raise ValueError("lattice must be nonempty")
-    ceilings = []
-    for y in ys:
-        try:
-            ceiling = B * math.exp(sigma * abs(y))
-        except OverflowError:
-            ceiling = math.inf
-        if ceiling == math.inf:
-            raise OverflowError(f"ceiling overflows at height {float(y)!r}")
-        ceilings.append(ceiling)
+    ceilings = [_exp_bound("ceiling", B, sigma * abs(y), y) for y in ys]
     # one evaluation of the whole lattice, a row per height
     rows = np.abs(evaluate_entire(F, xs + 1j * ys[:, None]))
     margins = []

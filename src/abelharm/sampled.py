@@ -43,7 +43,9 @@ class Grid:
         Dimension; must be 1.  Kept, like ``size``, for callers that
         spell the dimension out.
     half_width : float
-        Half-width R.
+        Half-width R.  The spacing 2R/points, the reciprocal half-width
+        points/(4R) and the reciprocal spacing must all be finite and
+        positive floats.
     points : int
         Number of lattice points (an integer, even, at least 4).
 
@@ -69,6 +71,12 @@ class Grid:
             raise ValueError(f"half_width must be finite and positive, got {self.half_width}")
         if self.points < 4 or self.points % 2 != 0:
             raise ValueError(f"points must be even and >= 4, got {self.points}")
+        # the lattice and its reciprocal (half-width points/(4R)) must both have a step
+        dual = self.points / (4.0 * self.half_width)
+        for what, v in (("spacing", self.spacing), ("reciprocal half_width", dual),
+                        ("reciprocal spacing", 2.0 * dual / self.points)):
+            if not 0 < v < math.inf:
+                raise ValueError(f"{what} must be finite and positive, got {v!r}")
 
     @property
     def spacing(self) -> float:

@@ -24,10 +24,10 @@ from abelharm.cli import (
     _criteria,
     _field_table,
     _render_table,
-    _window,
     main,
     run,
 )
+from abelharm.spectral import _support_range
 
 
 def test_package_exports_exactly_each_module_all():
@@ -122,11 +122,25 @@ def test_growth_reruns_are_byte_identical(tmp_path):
 
 def test_main_exit_codes(tmp_path, capsys):
     assert main(["run", "--suite", "growth", "--out", str(tmp_path / "ok")]) == 0
+    assert capsys.readouterr().err == ""
     # an output directory that cannot be created is a configuration error
     blocker = tmp_path / "file"
     blocker.write_text("")
     assert main(["run", "--suite", "growth", "--out", str(blocker / "x")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_main_reports_a_suite_that_raises(tmp_path, monkeypatch, capsys):
+    def broken():
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._SUITE_FN, "growth", broken)
+    assert main(["run", "--suite", "growth", "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("Traceback") and "RuntimeError: boom" in captured.err
+    assert "suite_error growth: fail (RuntimeError: boom)" in captured.out
+    assert captured.out.endswith("result: FAIL (1 checks, 1 failed, 0 expected-fail)\n")
+    assert (tmp_path / "summary.json").exists()
 
 
 @pytest.mark.parametrize("text", ['{"schedule_steps": 12.5}', '{"convergence_tol": 1e400}'])
@@ -394,7 +408,7 @@ def test_radial_suites_run_without_scipy(tmp_path, suite):
 def test_windows_by_index_select_what_the_mask_selects(grid, half_width):
     axis = grid.axis()
     mask = np.abs(axis) <= half_width
-    start, stop = _window(grid, half_width)
+    start, stop = _support_range(grid, SupportSpec(-half_width, half_width))
     # the same indices, so the same values of any array on the grid
     assert np.array_equal(np.arange(start, stop), np.flatnonzero(mask))
     assert grid._axis_range(start, stop).tobytes() == axis[mask].tobytes()

@@ -4,8 +4,9 @@ A gate that passes under a broken identity proves nothing: mutation
 analysis (DeMillo, Lipton & Sayward, "Hints on test data selection", IEEE
 Computer 1978) measures a check suite by the defects it catches.  Each row
 patches one fault into its module and into the runner's binding of it,
-reruns one suite and pins the exact set of criteria that fail.  The hardy
-suite's criteria 8-11 have no row here: each of its reruns takes 1-2 s.
+reruns one suite and pins the exact set of criteria that fail.  Every
+criterion 1-14 has a row whose fault it catches; the determinism gate
+(15) is the byte comparison of two full runs in tests/test_acceptance.py.
 """
 
 import math
@@ -13,11 +14,28 @@ import math
 import numpy as np
 import pytest
 
-from abelharm import SampledFunction, cli, growth, kernels, sampled, spectral, summability
+from abelharm import (
+    SampledFunction, cli, growth, halfplane, kernels, sampled, spectral, summability)
 
 
 def _scaled(factor):
     return lambda f: lambda *args: f(*args) * factor
+
+
+def _where(cond, change):
+    # the evaluator's values, with change() applied at the z where cond(Im z)
+    return lambda f: lambda F, z: (lambda v: np.where(cond(np.imag(z)), change(v), v))(f(F, z))
+
+
+def _reflected_default(f):
+    # the default field taken at each stencil point's mirror image in the
+    # horizontal line through z, so that z + ih and z - ih swap places
+    def faulty(F, z, h, evaluator=None):
+        if evaluator is None:
+            side = halfplane._require_side(F)
+            evaluator = lambda w: halfplane._evaluate_side(F, np.conj(w - z) + z, side)
+        return f(F, z, h, evaluator)
+    return faulty
 
 
 # name -> (module, attribute, the fault as a function of the original)
@@ -36,6 +54,16 @@ _FAULTS = {
     "damped_inverse_rescaled": (spectral, "abel_regularized_inverse",
                                 lambda f: lambda F, t, x: f(F, 1.0001 * t, x)),
     "exp_floor_raised": (summability, "_EXP_FLOOR", lambda floor: -700.0),
+    "partition_not_exact": (spectral, "_support_range",
+                            lambda f: lambda grid, support, partition=False: f(grid, support)),
+    "upper_high_off_axis": (halfplane, "evaluate_upper",
+                            _where(lambda y: y > 0, lambda v: v * (1 + 1e-3))),
+    "upper_shifted_on_axis": (halfplane, "evaluate_upper",
+                              _where(lambda y: y == 0, lambda v: v + 0.02)),
+    "cr_stencil_reflected": (halfplane, "cr_residual", _reflected_default),
+    "cauchy_lower_negated": (halfplane, "cauchy_represent", lambda f: lambda g, side, t, x: (
+        -f(g, side, t, x) if side == "lower" else f(g, side, t, x))),
+    "cauchy_order_low": (halfplane, "_CAUCHY_ORDER", lambda order: 8),
     "envelope_low": (growth, "envelope_bound", _scaled(0.99)),
     "type_high": (growth, "estimate_type", lambda f: lambda *args: f(*args) + 0.5),
 }
@@ -58,6 +86,19 @@ _ROWS = [
     # test_weights_that_underflow_to_subnormals_still_count catches it
     ("exp_floor_raised", "summability", set()),
     ("damped_inverse_rescaled", "inversion", {7}),
+    # the lower Cauchy integral of the hardy witnesses, whose spectra lie
+    # in [0, inf), is nearly zero, so criterion 9 does not see its sign:
+    # the hardy suite fails {7} only too
+    ("cauchy_lower_negated", "inversion", {7}),
+    # 8 moments keep the suite's Poisson integrals within criterion 7's
+    # gate; tier-1's test_cauchy_represent_matches_direct_sum catches it
+    ("cauchy_order_low", "inversion", set()),
+    # the partition then counts xi = 0 on both sides
+    ("partition_not_exact", "hardy", {8}),
+    ("upper_high_off_axis", "hardy", {9}),
+    ("upper_shifted_on_axis", "hardy", {10}),
+    # an explicit evaluator, the conjugated field's, passes unchanged
+    ("cr_stencil_reflected", "hardy", {11}),
     ("envelope_low", "growth", {12, 13}),
     ("type_high", "growth", {14}),
 ]
@@ -76,13 +117,23 @@ def _inject(monkeypatch, fault):
 def test_seeded_fault_fails_exactly_its_criteria(monkeypatch, tmp_path, fault, suite, failing):
     _inject(monkeypatch, fault)
     bundle = cli.run(cli.ExperimentConfig(suite, str(tmp_path)))
+    # the suite ran to its end: a suite that raises leaves its criteria not-run
+    assert not any(c.name.startswith("suite_error") for c in bundle.checks)
     assert {c.index for c in bundle.criteria if c.verdict == "fail"} == failing
 
 
 def test_quadrature_over_budget_aborts_the_run(monkeypatch, tmp_path):
-    # 256 nodes cannot meet the subordination budget; the exception ends
-    # the run today, before any report is written
+    # 256 nodes cannot meet the subordination budget; the kernels suite
+    # ends in the exception, and the run still writes its verdict
     monkeypatch.setattr(kernels, "_GAUSS_NODES", 256)
-    with pytest.raises(kernels.QuadratureBudgetError):
-        cli.run(cli.ExperimentConfig("kernels", str(tmp_path)))
-    assert not (tmp_path / "summary.txt").exists()
+    bundle = cli.run(cli.ExperimentConfig("all", str(tmp_path)))
+    error = next(c for c in bundle.checks if c.name == "suite_error kernels")
+    assert error.verdict == "fail" and error.detail.startswith("QuadratureBudgetError: ")
+    assert [c.index for c in bundle.criteria if c.verdict == "not-run"] == [1, 2, 3, 4, 5]
+    assert [c.index for c in bundle.criteria if c.verdict == "fail"] == []
+    assert bundle.failed == 1 and bundle.summary_text.endswith(
+        f"result: FAIL ({len(bundle.checks)} checks, 1 failed, 0 expected-fail)\n")
+    assert (tmp_path / "summary.txt").read_text() == bundle.summary_text
+    assert (tmp_path / "summary.json").exists()
+    assert sorted(p.name for p in tmp_path.iterdir() if p.is_dir()) == [
+        "growth", "hardy", "inversion", "summability"]

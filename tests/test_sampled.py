@@ -56,6 +56,26 @@ def test_grid_rejects_a_non_finite_half_width(half_width):
     with pytest.raises(ValueError, match="finite and positive"):
         Grid(1, half_width, 8)
 
+
+@pytest.mark.parametrize("half_width, what", [
+    (1e308, "spacing"),  # 2R overflows: the axis would be [nan, inf, inf, inf]
+    (8e307, "reciprocal half_width"),  # 4R overflows, so points/(4R) is 0
+    (1e-320, "reciprocal half_width"),  # points/(4R) overflows
+])
+def test_grid_rejects_a_lattice_without_a_finite_step(half_width, what):
+    # such grids once built, and failed later inside a transform or
+    # accepted samples on an axis that is not finite
+    with pytest.raises(ValueError, match=f"^{what} must be finite and positive"):
+        make_grid(1, half_width, 4)
+
+
+def test_grid_keeps_a_lattice_near_the_limits():
+    g = make_grid(1, 1e300, 4)
+    assert np.all(np.isfinite(g.axis()))
+    assert g.reciprocal().reciprocal() is g
+    assert make_grid(1, 1e-300, 4).reciprocal().spacing == 1.0 / 2e-300
+
+
 def test_reciprocal_grid_round_trip():
     g = make_grid(1, 8.0, 256)
     r = g.reciprocal()
